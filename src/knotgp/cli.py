@@ -83,7 +83,8 @@ def _cmd_spike_demo(args) -> int:
                               out_dir=args.out or "spike-demo-out")
     knots = result["knots"]
     base = result["baseline"]
-    print(f"baseline objective (5 knots): {base:.6f}")
+    jitter_ratio = result["model"].params.jitter_ratio
+    print(f"baseline objective (5 knots, jitter ratio {jitter_ratio:g}): {base:.6f}")
     for k, at, plus, minus in zip(knots, result["at_knots"], result["plus_offset"],
                                   result["minus_offset"]):
         marker = ("spike: duplicate gain collapses toward the baseline"

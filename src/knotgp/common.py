@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky
+from scipy.linalg.blas import dtrsm
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -71,6 +72,22 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
             continue
         return factor
     raise NumericalError(f"Cholesky factorization of {label} failed", attempted_jitter=ridge)
+
+
+def tri_solve(factor: np.ndarray, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+    """``factor^{-1} rhs``, or ``factor^{-T} rhs`` with ``trans``, for a lower
+    triangular ``factor`` with a positive diagonal, such as one returned by
+    :func:`chol_lower`. ``rhs`` is a vector or a matrix and is not modified.
+
+    No finiteness check is made: both arguments must derive from inputs that
+    were validated already. The solve runs as ``X op(factor)^T = rhs^T`` with
+    the factor on the right, which BLAS does several times faster than the
+    left-sided form when ``rhs`` has many more columns than rows, as the
+    K x N matrices of the sparse models do.
+    """
+    rhs_t = rhs.T if rhs.ndim == 2 else rhs[None, :]
+    out = dtrsm(1.0, factor, rhs_t, side=1, lower=1, trans_a=0 if trans else 1)
+    return out.T if rhs.ndim == 2 else out[0]
 
 
 @dataclass

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-
 from .common import (LOG_2PI, NumericalError, PredictiveDistribution,
-                     as_input_matrix, as_vector, chol_lower)
+                     as_input_matrix, as_vector, chol_lower, tri_solve)
 from .kernels import KernelParams, squared_distances
 
 
@@ -42,13 +40,19 @@ class FullGPModel:
         return self.train_inputs.shape[0]
 
 
-def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPModel:
-    """Fit an exact GP by factorizing the noisy training covariance."""
+def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0, *,
+             _sqdist: np.ndarray | None = None) -> FullGPModel:
+    """Fit an exact GP by factorizing the noisy training covariance.
+
+    ``_sqdist``, private to the package, is ``squared_distances(x, x)`` when
+    the caller already holds it, as a hyperparameter search over fixed
+    inputs does.
+    """
     x = as_input_matrix(x, "training inputs")
     y = as_vector(y, "training targets")
     if x.shape[0] != y.size:
         raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
-    d2 = squared_distances(x, x)
+    d2 = squared_distances(x, x) if _sqdist is None else _sqdist
     kmat = params.signal_variance * np.exp(-0.5 * d2 / params.lengthscale ** 2)
     noisy = kmat + (params.noise_variance + params.latent_jitter) * np.eye(x.shape[0])
     diagnostics: dict = {}
@@ -61,7 +65,7 @@ def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPMo
             attempted_jitter=params.latent_jitter,
         ) from err
     resid = y - mean_constant
-    alpha = cho_solve((factor, True), resid)
+    alpha = tri_solve(factor, tri_solve(factor, resid), trans=True)
     return FullGPModel(params, x, y, float(mean_constant), factor, alpha, kmat, d2,
                        diagnostics)
 
@@ -80,14 +84,13 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
     if not with_grad:
         return float(value)
     params = model.params
-    inv = cho_solve((model.chol, True), np.eye(n))
-    outer = np.outer(model.alpha, model.alpha)
-    weight = outer - inv
-    jitter_eye = params.latent_jitter * np.eye(n)
-    d_log_s2 = 0.5 * np.sum(weight * (model.kernel_matrix + jitter_eye))
-    d_log_ell = 0.5 * np.sum(weight * (model.kernel_matrix * model.sqdist)) \
-        / params.lengthscale ** 2
-    d_log_tau2 = 0.5 * np.trace(weight) * params.noise_variance
+    half_inverse = tri_solve(model.chol, np.eye(n))
+    weight = np.outer(model.alpha, model.alpha) - half_inverse.T @ half_inverse
+    weighted_kernel = weight * model.kernel_matrix
+    trace = np.trace(weight)
+    d_log_s2 = 0.5 * (np.sum(weighted_kernel) + params.latent_jitter * trace)
+    d_log_ell = 0.5 * np.sum(weighted_kernel * model.sqdist) / params.lengthscale ** 2
+    d_log_tau2 = 0.5 * trace * params.noise_variance
     return float(value), np.array([d_log_s2, d_log_ell, d_log_tau2])
 
 
@@ -107,7 +110,7 @@ def predict_full(model: FullGPModel, test_inputs) -> PredictiveDistribution:
     d2 = squared_distances(model.train_inputs, xt)
     cross = params.signal_variance * np.exp(-0.5 * d2 / params.lengthscale ** 2)
     mean = model.mean_constant + cross.T @ model.alpha
-    half = solve_triangular(model.chol, cross, lower=True)
+    half = tri_solve(model.chol, cross)
     prior_var = params.signal_variance + params.latent_jitter
     var = prior_var - np.einsum("nj,nj->j", half, half)
     clamps = int(np.sum(var < 0.0))

@@ -55,10 +55,14 @@ def srmse(predictive: PredictiveDistribution, test_targets) -> float:
 
 def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
     """KL(N(mean1, var1) || N(mean2, var2)); zero iff the pairs coincide."""
-    if var1 <= 0.0 or var2 <= 0.0:
+    return float(_gaussian_kl(mean1, var1, mean2, var2))
+
+
+def _gaussian_kl(mean1, var1, mean2, var2):
+    """:func:`gaussian_kl`, elementwise over arrays of moments."""
+    if np.any(var1 <= 0.0) or np.any(var2 <= 0.0):
         raise ValueError("variances must be strictly positive")
-    return float(0.5 * np.log(var2 / var1)
-                 + (var1 + (mean1 - mean2) ** 2) / (2.0 * var2) - 0.5)
+    return 0.5 * np.log(var2 / var1) + (var1 + (mean1 - mean2) ** 2) / (2.0 * var2) - 0.5
 
 
 def aukl(full_predictive: PredictiveDistribution,
@@ -67,11 +71,7 @@ def aukl(full_predictive: PredictiveDistribution,
     sparse model's, across test points."""
     if len(full_predictive) != len(sparse_predictive):
         raise ValueError("predictive distributions must have equal length")
-    values = [
-        gaussian_kl(m1, v1, m2, v2)
-        for m1, v1, m2, v2 in zip(full_predictive.latent_mean,
-                                  full_predictive.latent_variance,
-                                  sparse_predictive.latent_mean,
-                                  sparse_predictive.latent_variance)
-    ]
-    return float(np.mean(values))
+    return float(np.mean(_gaussian_kl(full_predictive.latent_mean,
+                                      full_predictive.latent_variance,
+                                      sparse_predictive.latent_mean,
+                                      sparse_predictive.latent_variance)))

@@ -23,7 +23,7 @@ from scipy.stats import norm
 from . import full_gp
 from .adadelta import OptimizerConfig, maximize
 from .common import NumericalError, as_input_matrix, as_vector
-from .kernels import KernelParams
+from .kernels import KernelParams, squared_distances
 from .sparse_gp import Approximation, SparseGPModel
 
 logger = logging.getLogger(__name__)
@@ -154,9 +154,11 @@ def propose_rs(model: SparseGPModel, candidate_pool, subset_size: int, seed) -> 
 
 def _fit_surrogate(inputs: np.ndarray, gains: np.ndarray, init_params: KernelParams):
     """Hyperparameters of the proposal surrogate by marginal-likelihood ascent."""
+    sqdist = squared_distances(inputs, inputs)
+
     def fg(vec):
         p = init_params.with_log_vector(vec)
-        m = full_gp.fit_full(inputs, gains, p, mean_constant=0.0)
+        m = full_gp.fit_full(inputs, gains, p, mean_constant=0.0, _sqdist=sqdist)
         return full_gp.log_marginal_likelihood(m, with_grad=True)
 
     cfg = OptimizerConfig(max_steps=150, rel_tol=1e-4, patience=5)
@@ -236,15 +238,32 @@ def _build_model(objective: str, x, y, params, knots, mean_constant) -> SparseGP
 def _optimize_params_and_knot(objective: str, x, y, params: KernelParams,
                               knots: np.ndarray, active_index: int | None,
                               optimizer_config: OptimizerConfig, mean_constant: float):
-    """Ascent over the covariance parameters and, optionally, one knot."""
+    """Ascent over the covariance parameters and, optionally, one knot.
+
+    ``x`` and ``y`` must already be validated. The frozen knots' squared
+    distances are computed once; each evaluation recomputes only the active
+    knot's row and column and checks only that knot's coordinates.
+    """
+    approx = _OBJECTIVE_APPROX[objective]
     knots_fixed = knots.copy()
+    d2_uu_fixed = squared_distances(knots_fixed, knots_fixed)
+    d2_ux_fixed = squared_distances(knots_fixed, x)
+    x_sq = np.sum(x * x, axis=1)
 
     def fg(vec):
         p = params.with_log_vector(vec[:3])
-        kn = knots_fixed.copy()
+        kn, d2_uu, d2_ux = knots_fixed, d2_uu_fixed, d2_ux_fixed
         if active_index is not None:
-            kn[active_index] = vec[3:]
-        model = _build_model(objective, x, y, p, kn, mean_constant)
+            loc = vec[3:]
+            if not np.all(np.isfinite(loc)):
+                raise ValueError("knot locations contains non-finite entries")
+            kn, d2_uu, d2_ux = kn.copy(), d2_uu.copy(), d2_ux.copy()
+            kn[active_index] = loc
+            row = np.maximum(loc @ loc - 2.0 * (kn @ loc) + np.sum(kn * kn, axis=1), 0.0)
+            d2_uu[active_index] = d2_uu[:, active_index] = row
+            d2_ux[active_index] = np.maximum(loc @ loc - 2.0 * (x @ loc) + x_sq, 0.0)
+        model = SparseGPModel._from_distances(approx, x, y, p, kn, d2_uu, d2_ux,
+                                              mean_constant)
         return model.objective_grad(active_knot_index=active_index)
 
     init = params.log_vector()

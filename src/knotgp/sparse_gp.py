@@ -11,23 +11,26 @@ Notation (array shapes in parentheses):
 
     X    (N, d)  training inputs           U    (K, d)  knot locations
     S    (K, N)  cross covariance cov(U, X)
-    Suu  (K, K)  cov(U, U) + jitter * I
-    psi  (N,)    diag of S^T Suu^{-1} S, the low-rank surrogate for the
-                 prior variance of the latent function at X
+    Suu  (K, K)  cov(U, U) + jitter * I = L L^T
+    V    (K, N)  L^{-1} S, the whitened cross covariance
+    psi  (N,)    diag of S^T Suu^{-1} S = column sums of V * V, the low-rank
+                 surrogate for the prior variance of the latent function at X
     lam  (N,)    diagonal completing the likelihood covariance:
                  DTC: tau2 * ones;  FIC: (s2 + jitter - psi) + tau2
 
-Every likelihood-style quantity is routed through the K x K system
+Every likelihood-style quantity is routed through the whitened K x K system
 
-    B = Suu + S diag(1/lam) S^T
+    B~ = I + V diag(1/lam) V^T = L_B L_B^T
 
 via the matrix inversion and determinant lemmas:
 
-    (S^T Suu^{-1} S + diag(lam))^{-1} = diag(1/lam) (I - S^T B^{-1} S diag(1/lam))
-    log|S^T Suu^{-1} S + diag(lam)| = sum(log lam) + log|B| - log|Suu|
+    (V^T V + diag(lam))^{-1} = diag(1/lam) (I - V^T B~^{-1} V diag(1/lam))
+    log|V^T V + diag(lam)| = sum(log lam) + log|B~|
 
-so per-evaluation costs stay O(N K^2) time and O(N K) memory. ``B`` is
-symmetrized before factorization.
+so per-evaluation costs stay O(N K^2) time and O(N K) memory. The
+eigenvalues of ``B~`` are at least one however ill-conditioned ``Suu`` is,
+so only ``L`` carries that conditioning; ``Suu^{-1} S`` is always formed as
+``L^{-T} V``, never through an explicit inverse.
 
 The variational objective is the Gaussian log density of the targets under
 the DTC marginal plus the penalty ``-(1 / (2 tau2)) * sum(s2 + jitter - psi)``,
@@ -39,22 +42,24 @@ marginal likelihood.
 Gradients are assembled by the adjoint method: each objective is
 differentiated with respect to the matrix atoms ``S`` and ``Suu`` and the
 scalars it touches directly, after which a chain rule maps those atom
-gradients onto (log s2, log ell, log tau2) and knot coordinates. With the
-jitter tied to the signal variance, every entry of ``S`` and ``Suu`` scales
-linearly in s2, which keeps the log-s2 direction exact.
+gradients onto (log s2, log ell, log tau2) and knot coordinates. For DTC the
+parameter derivatives reduce to K x K statistics (``V V^T`` through ``B~``,
+``W V^T`` with ``W = S * D2``, and ``V alpha``), and rows of the K x N adjoint
+of ``S`` are formed only for the knots whose coordinates are requested. FIC
+keeps its per-point terms. With the jitter tied to the signal variance,
+every entry of ``S`` and ``Suu`` scales linearly in s2, which keeps the
+log-s2 direction exact.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-
 from .common import (LOG_2PI, PredictiveDistribution, as_input_matrix,
-                     as_vector, chol_lower)
-from .kernels import KernelParams, squared_distances
+                     as_vector, chol_lower, tri_solve)
+from .kernels import KernelParams, cov_matrix, squared_distances
 
 
 class Approximation(enum.Enum):
@@ -75,14 +80,23 @@ class KnotSet:
     """
 
     locations: np.ndarray
-    has_duplicates: bool = field(init=False)
 
     def __post_init__(self):
-        locs = as_input_matrix(self.locations, "knot locations")
-        object.__setattr__(self, "locations", locs)
-        d2 = squared_distances(locs, locs)
+        object.__setattr__(self, "locations",
+                           as_input_matrix(self.locations, "knot locations"))
+
+    @classmethod
+    def _unchecked(cls, locations: np.ndarray) -> "KnotSet":
+        """A knot set over a float (K, d) array whose rows are known finite."""
+        knots = object.__new__(cls)
+        object.__setattr__(knots, "locations", locations)
+        return knots
+
+    @property
+    def has_duplicates(self) -> bool:
+        d2 = squared_distances(self.locations, self.locations)
         np.fill_diagonal(d2, np.inf)
-        object.__setattr__(self, "has_duplicates", bool(np.min(d2) < 1e-18))
+        return bool(np.min(d2) < 1e-18)
 
     def __len__(self) -> int:
         return self.locations.shape[0]
@@ -104,13 +118,21 @@ def psi_cross(x, knots, params: KernelParams, diagnostics: dict | None = None):
     u = _knot_array(knots)
     if x.shape[1] != u.shape[1]:
         raise ValueError(f"input dimension {x.shape[1]} does not match knot dimension {u.shape[1]}")
-    ell2 = params.lengthscale ** 2
-    suu = params.signal_variance * np.exp(-0.5 * squared_distances(u, u) / ell2)
-    suu = suu + params.latent_jitter * np.eye(u.shape[0])
-    luu = chol_lower(suu, escalations=3, diagnostics=diagnostics, label="knot covariance")
-    s = params.signal_variance * np.exp(-0.5 * squared_distances(u, x) / ell2)
-    v = solve_triangular(luu, s, lower=True)
+    _, _, luu, v = _whiten(squared_distances(u, u), squared_distances(u, x), params,
+                           diagnostics)
     return v, luu
+
+
+def _whiten(d2_uu, d2_ux, params: KernelParams, diagnostics: dict | None):
+    """(Kuu, S, L, V) from the knots' squared distances to each other and to
+    the inputs: Kuu = cov(U, U), S = cov(U, X), L L^T = Kuu + jitter I and
+    V = L^{-1} S."""
+    s2, ell2 = params.signal_variance, params.lengthscale ** 2
+    kuu = s2 * np.exp(-0.5 * d2_uu / ell2)
+    s = s2 * np.exp(-0.5 * d2_ux / ell2)
+    luu = chol_lower(kuu + params.latent_jitter * np.eye(kuu.shape[0]), escalations=3,
+                     diagnostics=diagnostics, label="knot covariance")
+    return kuu, s, luu, tri_solve(luu, s)
 
 
 def psi_diag(x, knots, params: KernelParams) -> np.ndarray:
@@ -134,19 +156,39 @@ class SparseGPModel:
                 "only DTC and FIC models support fitting and prediction; "
                 "DIC and FITC exist solely for the prior-variance report"
             )
-        self.approx = approx
-        self.x = as_input_matrix(x, "training inputs")
-        self.y = as_vector(y, "training targets")
-        if self.x.shape[0] != self.y.size:
-            raise ValueError(f"row count mismatch: {self.x.shape[0]} inputs vs {self.y.size} targets")
-        self.params = params
-        self.knots = knots if isinstance(knots, KnotSet) else KnotSet(np.asarray(knots, dtype=float))
-        if self.knots.locations.shape[1] != self.x.shape[1]:
+        x = as_input_matrix(x, "training inputs")
+        y = as_vector(y, "training targets")
+        if x.shape[0] != y.size:
+            raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
+        knots = knots if isinstance(knots, KnotSet) else KnotSet(np.asarray(knots, dtype=float))
+        u = knots.locations
+        if u.shape[1] != x.shape[1]:
             raise ValueError(
-                f"knot dimension {self.knots.locations.shape[1]} does not match "
-                f"input dimension {self.x.shape[1]}"
+                f"knot dimension {u.shape[1]} does not match "
+                f"input dimension {x.shape[1]}"
             )
+        self._init(approx, x, y, params, knots, mean_constant,
+                   squared_distances(u, u), squared_distances(u, x))
+
+    @classmethod
+    def _from_distances(cls, approx: Approximation, x: np.ndarray, y: np.ndarray,
+                        params: KernelParams, knots: np.ndarray, d2_uu: np.ndarray,
+                        d2_ux: np.ndarray, mean_constant: float) -> "SparseGPModel":
+        """A model over inputs and finite knots that the caller has already
+        validated, given their squared distances (``d2_uu`` K x K, ``d2_ux``
+        K x N); skips the checks and the distance work of the constructor."""
+        model = cls.__new__(cls)
+        model._init(approx, x, y, params, KnotSet._unchecked(knots), mean_constant,
+                    d2_uu, d2_ux)
+        return model
+
+    def _init(self, approx, x, y, params, knots, mean_constant, d2_uu, d2_ux):
+        self.approx = approx
+        self.x, self.y = x, y
+        self.params = params
+        self.knots = knots
         self.mean_constant = float(mean_constant)
+        self._d2_uu, self._d2_ux = d2_uu, d2_ux
         self.diagnostics: dict = {}
         self._build()
 
@@ -154,32 +196,29 @@ class SparseGPModel:
 
     def _build(self):
         params = self.params
-        x, u = self.x, self.knots.locations
-        s2, ell2 = params.signal_variance, params.lengthscale ** 2
-        tau2, jitter = params.noise_variance, params.latent_jitter
-
-        self._d2_uu = squared_distances(u, u)
-        self._d2_ux = squared_distances(u, x)
-        self._kuu = s2 * np.exp(-0.5 * self._d2_uu / ell2)
-        self._suu = self._kuu + jitter * np.eye(u.shape[0])
-        self._s = s2 * np.exp(-0.5 * self._d2_ux / ell2)
-        self._luu = chol_lower(self._suu, escalations=3, diagnostics=self.diagnostics,
-                               label="knot covariance")
-        v = solve_triangular(self._luu, self._s, lower=True)
-        self._psi = np.einsum("kn,kn->n", v, v)
+        s2, tau2, jitter = params.signal_variance, params.noise_variance, params.latent_jitter
+        self._kuu, self._s, self._luu, self._v = _whiten(self._d2_uu, self._d2_ux, params,
+                                                         self.diagnostics)
+        v, k = self._v, self._v.shape[0]
 
         if self.approx is Approximation.DTC:
-            self._lam = np.full(x.shape[0], tau2)
+            gram = v @ v.T
+            self._psi_sum = float(np.trace(gram))
+            self._lam = np.full(v.shape[1], tau2)
+            self._q = gram / tau2
         else:
+            psi = np.einsum("kn,kn->n", v, v)
+            self._psi_sum = float(np.sum(psi))
             # diag(Sigma_xx - Psi_xx); tiny negative round-off is clipped
-            self._lam = np.maximum(s2 + jitter - self._psi, 0.0) + tau2
-        b = self._suu + (self._s / self._lam) @ self._s.T
-        self._lb = chol_lower(b, escalations=3, diagnostics=self.diagnostics,
-                              label="low-rank system")
+            self._lam = np.maximum(s2 + jitter - psi, 0.0) + tau2
+            self._q = (v / self._lam) @ v.T
+        # B~ = I + V diag(1/lam) V^T
+        self._lb = chol_lower(self._q + np.eye(k), escalations=3,
+                              diagnostics=self.diagnostics, label="low-rank system")
         self._resid = self.y - self.mean_constant
-        t = self._s @ (self._resid / self._lam)
-        self._c = cho_solve((self._lb, True), t)
-        self._alpha = (self._resid - self._s.T @ self._c) / self._lam
+        r_lam = self._resid / self._lam
+        self._c = tri_solve(self._lb, tri_solve(self._lb, v @ r_lam), trans=True)
+        self._alpha = r_lam - (v.T @ self._c) / self._lam
 
     # -- objective values ----------------------------------------------------
 
@@ -192,19 +231,16 @@ class SparseGPModel:
         return len(self.knots)
 
     def _log_density(self) -> float:
-        # log N(y; m, S^T Suu^{-1} S + diag(lam)) via the K x K system
-        n = self.n_train
-        logdet = (np.sum(np.log(self._lam))
-                  + 2.0 * np.sum(np.log(np.diag(self._lb)))
-                  - 2.0 * np.sum(np.log(np.diag(self._luu))))
+        # log N(y; m, V^T V + diag(lam)) via the whitened K x K system
+        logdet = np.sum(np.log(self._lam)) + 2.0 * np.sum(np.log(np.diag(self._lb)))
         quad = float(self._resid @ self._alpha)
-        return -0.5 * (n * LOG_2PI + logdet + quad)
+        return -0.5 * (self.n_train * LOG_2PI + logdet + quad)
 
     def trace_penalty(self) -> float:
         """(1 / (2 tau2)) * sum_i (s2 + jitter - psi_i), the variational penalty."""
         params = self.params
         total = self.n_train * (params.signal_variance + params.latent_jitter) \
-            - float(np.sum(self._psi))
+            - self._psi_sum
         return total / (2.0 * params.noise_variance)
 
     def elbo(self) -> float:
@@ -247,67 +283,116 @@ class SparseGPModel:
             raise ValueError("request either one active knot or all knots, not both")
         if active_knot_index is not None and not (0 <= active_knot_index < self.n_knots):
             raise IndexError(f"knot index {active_knot_index} out of range")
+        if all_knots:
+            rows = slice(None)
+        elif active_knot_index is not None:
+            rows = slice(active_knot_index, active_knot_index + 1)
+        else:
+            rows = None
 
+        adjoint = self._dtc_adjoint if self.approx is Approximation.DTC else self._fic_adjoint
+        grad_params, grad_uu, grad_s_rows = adjoint(rows)
+        grad = list(grad_params)
+        if rows is not None:
+            # d S_kn / d u_k = S_kn (x_n - u_k) / ell2, and likewise for Suu
+            u, ell2 = self.knots.locations, self.params.lengthscale ** 2
+            gs = grad_s_rows * self._s[rows]
+            gk = grad_uu[rows] * self._kuu[rows]
+            step = (gs @ self.x - np.sum(gs, axis=1)[:, None] * u[rows]
+                    + 2.0 * (gk @ u - np.sum(gk, axis=1)[:, None] * u[rows])) / ell2
+            grad.extend(step.reshape(-1))
+        return self.objective(), np.asarray(grad, dtype=float)
+
+    def _b_inverse(self) -> np.ndarray:
+        """B~^{-1}, which is well conditioned: its eigenvalues lie in (0, 1]."""
+        half = tri_solve(self._lb, np.eye(self._lb.shape[0]))
+        return half.T @ half
+
+    def _dtc_adjoint(self, rows):
+        """Parameter derivatives of the variational objective, the symmetric
+        adjoint of ``Suu`` and, for the requested rows, that of ``S``.
+
+        With ``E = I - B~^{-1}`` and ``g = Suu^{-1} S alpha = L^{-T} V alpha``:
+
+            adj S   = g alpha^T + L^{-T} E V / tau2
+            adj Suu = -(1/2) L^{-T} (B~ - 2I + B~^{-1}) L^{-1} - (1/2) g g^T
+
+        whose contractions with ``S`` and ``Suu`` collapse to traces of K x K
+        matrices: ``tr(E)``, ``||V alpha||^2`` and, for the lengthscale,
+        ``W V^T`` with ``W = S * D2``.
+        """
         params = self.params
-        n, k = self.n_train, self.n_knots
+        tau2, ell2 = params.noise_variance, params.lengthscale ** 2
+        v, luu, alpha = self._v, self._luu, self._alpha
+        k = v.shape[0]
+
+        e = np.eye(k) - self._b_inverse()
+        tr_e = float(np.trace(e))
+        va = v @ alpha
+        g = tri_solve(luu, va, trans=True)
+        le = tri_solve(luu, e, trans=True)
+        # B~ - 2I + B~^{-1} = F^T F with F = L_B^{-1} (B~ - I)
+        h = tri_solve(luu, tri_solve(self._lb, self._q).T, trans=True)
+        grad_uu = -0.5 * (h @ h.T + np.outer(g, g))
+
+        penalty = self.trace_penalty()
+        w = self._s * self._d2_ux
+        grad_s_dot_w = g @ (w @ alpha) + np.sum(le * (w @ v.T)) / tau2
+        d_log_s2 = 0.5 * float(va @ va) - 0.5 * tr_e - penalty
+        d_log_ell = (np.sum(grad_uu * (self._kuu * self._d2_uu)) + grad_s_dot_w) / ell2
+        d_log_tau2 = -0.5 * (self.n_train - tr_e) + 0.5 * tau2 * float(alpha @ alpha) + penalty
+
+        grad_s_rows = None
+        if rows is not None:
+            grad_s_rows = np.outer(g[rows], alpha) + (le[rows] @ v) / tau2
+        return (d_log_s2, d_log_ell, d_log_tau2), grad_uu, grad_s_rows
+
+    def _fic_adjoint(self, rows):
+        """As :meth:`_dtc_adjoint` for the FIC log marginal likelihood, whose
+        per-point ``lam`` keeps a K x N term in the adjoint of ``S``.
+
+        With ``lam_bar`` the adjoint of the ``lam`` diagonal:
+
+            adj S   = L^{-T} R,  R = V alpha alpha^T - B~^{-1} V diag(1/lam)
+                                     - 2 V diag(lam_bar)
+            adj Suu = L^{-T} M L^{-1} - (1/2) g g^T,
+                      M = (1/2) (I - B~^{-1}) + V diag(lam_bar) V^T
+        """
+        params = self.params
         s2, ell2 = params.signal_variance, params.lengthscale ** 2
         tau2, jitter = params.noise_variance, params.latent_jitter
-        s, suu, kuu = self._s, self._suu, self._kuu
-        lam, alpha = self._lam, self._alpha
+        v, luu, lam, alpha = self._v, self._luu, self._lam, self._alpha
+        k = v.shape[0]
 
-        value = self.objective()
-
-        # atom gradients of the log density wrt S, Suu and the lam diagonal
-        m1 = cho_solve((self._lb, True), s)                     # B^{-1} S
-        h = m1 / lam[None, :]                                   # B^{-1} S diag(1/lam)
-        sbs = np.einsum("kn,kn->n", s, m1)                      # (S^T B^{-1} S)_ii
-        diag_cinv = (1.0 - sbs / lam) / lam
-        lam_bar = -0.5 * (diag_cinv - alpha ** 2)
-        binv = cho_solve((self._lb, True), np.eye(k))
-        p = cho_solve((self._luu, True), np.eye(k))             # Suu^{-1}
-        g = cho_solve((self._luu, True), s @ alpha)
-        grad_s = np.outer(g, alpha) - h
-        grad_uu = -0.5 * (binv - p + np.outer(g, g))
-
-        d_s2_unit = 0.0          # coefficient of d(s2 + jitter)
-        d_tau2 = float(np.sum(lam_bar))   # both variants carry +tau2 inside lam
-
-        ps = cho_solve((self._luu, True), s)                    # Suu^{-1} S
-        if self.approx is Approximation.DTC:
-            # the subtracted trace penalty
-            grad_s += ps / tau2
-            grad_uu -= (0.5 / tau2) * (ps @ ps.T)
-            d_s2_unit += -n / (2.0 * tau2)
-            d_tau2 += self.trace_penalty() / tau2
-        else:
-            # lam_i = (s2 + jitter) + tau2 - psi_i, psi_i = s_i^T Suu^{-1} s_i
-            grad_s += -2.0 * ps * lam_bar[None, :]
-            grad_uu += (ps * lam_bar[None, :]) @ ps.T
-            d_s2_unit += float(np.sum(lam_bar))
-
+        binv = self._b_inverse()
+        bv = binv @ v
+        sbs = np.einsum("kn,kn->n", v, bv)                      # (S^T B^{-1} S)_ii
+        lam_bar = -0.5 * ((1.0 - sbs / lam) / lam - alpha ** 2)
+        sum_lam_bar = float(np.sum(lam_bar))
+        va = v @ alpha
+        g = tri_solve(luu, va, trans=True)
+        v_lam_bar = v * lam_bar
+        r = np.outer(va, alpha) - bv / lam - 2.0 * v_lam_bar
+        m = 0.5 * (np.eye(k) - binv) + v_lam_bar @ v.T
+        grad_uu = tri_solve(luu, tri_solve(luu, m, trans=True).T, trans=True) \
+            - 0.5 * np.outer(g, g)
         grad_uu = 0.5 * (grad_uu + grad_uu.T)
 
-        d_log_s2 = (np.sum(grad_uu * suu) + np.sum(grad_s * s)
-                    + d_s2_unit * (s2 + jitter))
-        d_log_ell = (np.sum(grad_uu * (kuu * self._d2_uu))
-                     + np.sum(grad_s * (s * self._d2_ux))) / ell2
-        d_log_tau2 = d_tau2 * tau2
-        grad = [d_log_s2, d_log_ell, d_log_tau2]
+        # contractions with Suu = L L^T and S = L V, then with Kuu * D2 and W
+        w = self._s * self._d2_ux
+        grad_s_dot_w = np.trace(tri_solve(luu, r @ w.T, trans=True))
+        # lam_i = (s2 + jitter) + tau2 - psi_i
+        d_log_s2 = (np.trace(m) - 0.5 * float(va @ va) + np.sum(r * v)
+                    + sum_lam_bar * (s2 + jitter))
+        d_log_ell = (np.sum(grad_uu * (self._kuu * self._d2_uu)) + grad_s_dot_w) / ell2
+        d_log_tau2 = sum_lam_bar * tau2
 
-        if active_knot_index is not None or all_knots:
-            u, x = self.knots.locations, self.x
-            gs_s = grad_s * s
-            guu_k = grad_uu * kuu
-            if all_knots:
-                t1 = (gs_s @ x - np.sum(gs_s, axis=1)[:, None] * u) / ell2
-                t2 = 2.0 * (guu_k @ u - np.sum(guu_k, axis=1)[:, None] * u) / ell2
-                grad.extend((t1 + t2).reshape(-1))
-            else:
-                idx = active_knot_index
-                t1 = gs_s[idx] @ (x - u[idx]) / ell2
-                t2 = 2.0 * (guu_k[idx] @ (u - u[idx])) / ell2
-                grad.extend(t1 + t2)
-        return value, np.asarray(grad, dtype=float)
+        grad_s_rows = None
+        if rows is not None:
+            # row i of L^{-T} is (L^{-1} e_i)^T
+            unit = np.eye(k)[:, rows]
+            grad_s_rows = tri_solve(luu, unit).T @ r
+        return (d_log_s2, d_log_ell, d_log_tau2), grad_uu, grad_s_rows
 
     # -- prediction ----------------------------------------------------------
 
@@ -316,12 +401,12 @@ class SparseGPModel:
 
         DTC propagates the optimal K-dimensional posterior over the knot
         values through the exact GP conditional; FIC uses its own weighted
-        K x K posterior. Both reduce to
+        K x K posterior. With ``k_j = cov(knots, test_j)``, ``v_j = L^{-1} k_j``
+        and each variant's own ``B~``/``lam``, both reduce to
 
-            mean_j = m + k_j^T B^{-1} S (r / lam)
-            var_j  = (s2 + jitter) - psi_j + k_j^T B^{-1} k_j
+            mean_j = m + v_j^T B~^{-1} V (r / lam)
+            var_j  = (s2 + jitter) - ||v_j||^2 + ||L_B^{-1} v_j||^2
 
-        with ``k_j = cov(knots, test_j)`` and each variant's own ``B``/``lam``.
         FIC marginals coincide with FITC's.
         """
         xt = as_input_matrix(test_inputs, "test inputs")
@@ -332,14 +417,13 @@ class SparseGPModel:
             )
         params = self.params
         ell2 = params.lengthscale ** 2
-        ktu = params.signal_variance * np.exp(
-            -0.5 * squared_distances(xt, self.knots.locations) / ell2)
-        mean = self.mean_constant + ktu @ self._c
-        vt = solve_triangular(self._luu, ktu.T, lower=True)
-        psi_t = np.einsum("kj,kj->j", vt, vt)
-        m2 = cho_solve((self._lb, True), ktu.T)
-        correction = np.einsum("jk,kj->j", ktu, m2)
-        var = params.signal_variance + params.latent_jitter - psi_t + correction
+        kut = params.signal_variance * np.exp(
+            -0.5 * squared_distances(self.knots.locations, xt) / ell2)
+        vt = tri_solve(self._luu, kut)
+        mean = self.mean_constant + self._c @ vt
+        wt = tri_solve(self._lb, vt)
+        var = (params.signal_variance + params.latent_jitter
+               - np.einsum("kj,kj->j", vt, vt) + np.einsum("kj,kj->j", wt, wt))
         clamps = int(np.sum(var < 0.0))
         if clamps:
             self.diagnostics["negative_variance_clamps"] = (
@@ -395,24 +479,16 @@ def prior_variance_report(approx: Approximation, x_train, x_test, knots,
     x_train = as_input_matrix(x_train, "training inputs")
     x_test = as_input_matrix(x_test, "test inputs")
     u = _knot_array(knots)
-    ell2 = params.lengthscale ** 2
     s2 = params.signal_variance
 
-    def kern(a, b):
-        return s2 * np.exp(-0.5 * squared_distances(a, b) / ell2)
+    def psi(a):
+        v, _ = psi_cross(a, u, params)
+        return v.T @ v
 
-    suu = kern(u, u) + params.latent_jitter * np.eye(u.shape[0])
-    luu = chol_lower(suu, escalations=3, label="knot covariance")
-
-    def psi(a, b):
-        va = solve_triangular(luu, kern(u, a), lower=True)
-        vb = solve_triangular(luu, kern(u, b), lower=True)
-        return va.T @ vb
-
-    sigma_tr = kern(x_train, x_train)
-    sigma_te = kern(x_test, x_test)
-    psi_tr = psi(x_train, x_train)
-    psi_te = psi(x_test, x_test)
+    sigma_tr = cov_matrix(x_train, x_train, params)
+    sigma_te = cov_matrix(x_test, x_test, params)
+    psi_tr = psi(x_train)
+    psi_te = psi(x_test)
 
     if approx is Approximation.DIC:
         marg_tr, marg_te = psi_tr, psi_te

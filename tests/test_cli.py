@@ -74,7 +74,8 @@ def test_spike_demo_subcommand(tmp_path, capsys):
     code = main(["spike-demo", "--seed", "0", "--out", str(tmp_path / "spike")])
     assert code == 0
     assert (tmp_path / "spike" / "spike.csv").exists()
-    assert "baseline objective" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "baseline objective (5 knots, jitter ratio 0.001)" in out
 
 
 def test_synth_demo_subcommand(tmp_path, capsys):

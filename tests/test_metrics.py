@@ -155,6 +155,23 @@ class TestAukl:
         ])
         assert aukl(full, sparse) == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_mean_of_per_point_kl(self):
+        # the vectorized metric against the scalar divergence, point by point
+        rng = np.random.default_rng(9)
+        full = _pred(rng.standard_normal(300), rng.uniform(1e-3, 3.0, 300))
+        sparse = _pred(rng.standard_normal(300), rng.uniform(1e-3, 3.0, 300))
+        expected = np.mean([gaussian_kl(*moments) for moments in zip(
+            full.latent_mean, full.latent_variance,
+            sparse.latent_mean, sparse.latent_variance)])
+        assert aukl(full, sparse) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_zero_latent_variance_raises(self, side):
+        pair = [_pred([0.0, 1.0], [1.0, 1.0]), _pred([0.0, 1.0], [1.0, 1.0])]
+        pair[side] = _pred([0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            aukl(*pair)
+
     def test_uses_latent_not_noisy_density(self):
         # adding noise variance must not change the metric
         full = _pred([0.0], [1.0], noise=0.5)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from knotgp import (Approximation, KernelParams, OATConfig, fit_sparse,
+import knotgp.selection as selection
+from knotgp import (Approximation, KernelParams, OATConfig, SparseGPModel, fit_sparse,
                     kmeans_init, oat_select, propose_bo, propose_rs,
                     simultaneous_optimize)
-from knotgp.adadelta import OptimizerConfig
+from knotgp.adadelta import OptimizerConfig, maximize
 
 
 def _toy_1d(n=120, seed=0, noise=0.3):
@@ -136,6 +137,56 @@ class TestProposeBo:
         a = propose_bo(model, x, budget=12, initial_design=4, seed=3)
         b = propose_bo(model, x, budget=12, initial_design=4, seed=3)
         np.testing.assert_array_equal(a, b)
+
+
+class TestInnerLoopDistanceCache:
+    """The inner optimization reuses the frozen knots' distances; each of its
+    evaluations must match a model built from scratch."""
+
+    @staticmethod
+    def _inner_objective(monkeypatch, objective, x, y, params, knots, active):
+        captured = []
+
+        def spy(fg, init, config):
+            captured.append(fg)
+            return maximize(fg, init, OptimizerConfig(max_steps=1))
+
+        monkeypatch.setattr(selection, "maximize", spy)
+        selection._optimize_params_and_knot(objective, x, y, params, knots, active,
+                                            OptimizerConfig(), 0.0)
+        return captured[0]
+
+    @pytest.mark.parametrize("objective", ["vfe", "fic"])
+    @pytest.mark.parametrize("active", [None, 2, 5])
+    def test_matches_fresh_model(self, monkeypatch, objective, active):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((150, 3))
+        y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(150)
+        knots = x[:6] + 0.05 * rng.standard_normal((6, 3))
+        params = KernelParams(1.2, 0.9, 0.2)
+        fg = self._inner_objective(monkeypatch, objective, x, y, params, knots, active)
+        approx = selection._OBJECTIVE_APPROX[objective]
+        for _ in range(4):
+            vec = params.log_vector() + 0.2 * rng.standard_normal(3)
+            moved = knots.copy()
+            if active is not None:
+                moved[active] += 0.3 * rng.standard_normal(3)
+                vec = np.concatenate([vec, moved[active]])
+            value, grad = fg(vec)
+            fresh_value, fresh_grad = SparseGPModel(
+                approx, x, y, params.with_log_vector(vec[:3]), moved
+            ).objective_grad(active_knot_index=active)
+            assert abs(value - fresh_value) <= 1e-12 * abs(fresh_value)
+            assert np.max(np.abs(grad - fresh_grad)) <= 1e-12 * np.max(np.abs(fresh_grad))
+
+    def test_non_finite_active_knot_raises(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((40, 2))
+        y = rng.standard_normal(40)
+        params = KernelParams(1.0, 1.0, 0.1)
+        fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:3].copy(), 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            fg(np.concatenate([params.log_vector(), [np.nan, 0.0]]))
 
 
 class TestOatSelect:

@@ -9,7 +9,7 @@ from knotgp.adadelta import OptimizerConfig
 from knotgp.selection import kmeans_init, simultaneous_optimize
 
 from oracles import (central_difference, dense_elbo, dense_fic_log_marginal,
-                     dense_predict, dense_psi, random_instance)
+                     dense_predict, dense_psi, random_instance, se_kernel_matrix)
 
 
 class TestKnotSet:
@@ -178,6 +178,60 @@ class TestElboGrad:
         model = fit_sparse(Approximation.DTC, x, y, p, [[0.5]])
         with pytest.raises(IndexError):
             elbo_grad(model, active_knot_index=3)
+
+
+class TestDenseOracleGradient:
+    """The DTC value and adjoint gradient (parameters, one knot, all knots)
+    against central differences of the dense oracle."""
+
+    @staticmethod
+    def _errors(x, y, knots, p, step, active):
+        model = fit_sparse(Approximation.DTC, x, y, p, knots)
+        dense_value = dense_elbo(x, y, knots, p)
+
+        def dense(vec):
+            return dense_elbo(x, y, vec[3:].reshape(knots.shape),
+                              p.with_log_vector(vec[:3]))
+
+        point = np.concatenate([p.log_vector(), knots.reshape(-1)])
+        fd = central_difference(dense, point, step=step)
+        d = knots.shape[1]
+        fd_one = np.concatenate([fd[:3], fd[3 + active * d:3 + (active + 1) * d]])
+
+        def rel(grad, ref):
+            return np.max(np.abs(grad - ref)) / (np.max(np.abs(ref)) + 1.0)
+
+        return {
+            "value": abs(elbo(model) - dense_value) / abs(dense_value),
+            "params": rel(elbo_grad(model)[1], fd[:3]),
+            "one knot": rel(elbo_grad(model, active_knot_index=active)[1], fd_one),
+            "all knots": rel(elbo_grad(model, all_knots=True)[1], fd),
+        }
+
+    def test_well_conditioned(self):
+        rng = np.random.default_rng(31)
+        tolerances = {"value": 1e-12, "params": 1e-9, "one knot": 1e-9, "all knots": 1e-9}
+        for _ in range(5):
+            x, y, knots, p = random_instance(rng, 12, 3, 2)
+            errors = self._errors(x, y, knots, p, 1e-5, 1)
+            for key, tol in tolerances.items():
+                assert errors[key] <= tol, (key, errors)
+
+    def test_near_duplicate_knots(self):
+        # the dense oracle inverts Suu explicitly, so at cond(Suu) >= 1e8 its
+        # own round-off, amplified by the finite differences, sets these
+        # tolerances; the model's error is far below them
+        rng = np.random.default_rng(32)
+        tolerances = {"value": 1e-8, "params": 3e-3, "one knot": 2e-4, "all knots": 2e-4}
+        for _ in range(5):
+            x, y, knots, p = random_instance(rng, 12, 4, 2)
+            direction = rng.standard_normal(2)
+            knots[3] = knots[0] + 1e-4 * p.lengthscale * direction / np.linalg.norm(direction)
+            suu = se_kernel_matrix(knots, knots, p) + p.latent_jitter * np.eye(4)
+            assert np.linalg.cond(suu) >= 1e8
+            errors = self._errors(x, y, knots, p, 1e-6, 3)
+            for key, tol in tolerances.items():
+                assert errors[key] <= tol, (key, errors)
 
 
 class TestFicLogMarginal:
