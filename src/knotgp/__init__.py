@@ -2,7 +2,8 @@
 
 from .adadelta import MaximizeResult, OptimState, OptimizerConfig, adadelta_step, maximize
 from .common import NumericalError, PredictiveDistribution
-from .full_gp import FullGPModel, fit_full, log_marginal_likelihood, predict_full
+from .full_gp import (FullGPModel, fit_full, fit_hyperparameters, log_marginal_likelihood,
+                      predict_full)
 from .kernels import (KernelParams, cov_matrix, kernel_eval, kernel_grad_knot,
                       kernel_grad_params)
 from .metrics import MetricReport, aukl, gaussian_kl, mnlp, srmse
@@ -33,6 +34,7 @@ __all__ = [
     "elbo_grad",
     "fic_log_marginal",
     "fit_full",
+    "fit_hyperparameters",
     "fit_sparse",
     "gaussian_kl",
     "kernel_eval",

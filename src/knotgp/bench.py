@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import full_gp, metrics as metrics_mod
-from .adadelta import OptimizerConfig, maximize
+from .adadelta import OptimizerConfig
 from .common import PredictiveDistribution
 from .kernels import KernelParams
 from .selection import OATConfig, kmeans_init, oat_select, simultaneous_optimize
@@ -272,18 +272,11 @@ class _FittedModel:
 def _fit_full_gp_entry(dataset: Dataset, init_params: KernelParams,
                        optimizer_config: OptimizerConfig) -> _FittedModel:
     start = time.perf_counter()
-
-    def fg(vec):
-        p = init_params.with_log_vector(vec)
-        model = full_gp.fit_full(dataset.x_train, dataset.y_train, p)
-        return full_gp.log_marginal_likelihood(model, with_grad=True)
-
-    res = maximize(fg, init_params.log_vector(), optimizer_config)
-    params = init_params.with_log_vector(res.x)
-    model = full_gp.fit_full(dataset.x_train, dataset.y_train, params)
+    model, res = full_gp.fit_hyperparameters(dataset.x_train, dataset.y_train, init_params,
+                                             optimizer_config)
     pred = full_gp.predict_full(model, dataset.x_test)
     seconds = time.perf_counter() - start
-    return _FittedModel(dataset.to_original_scale(pred), res.fun, params, None,
+    return _FittedModel(dataset.to_original_scale(pred), res.fun, model.params, None,
                         seconds, [{"knots": 0, "objective": res.fun}], is_full_gp=True)
 
 

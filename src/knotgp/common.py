@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -48,29 +48,37 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
                label: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a symmetric PSD matrix.
 
-    The input is symmetrized before factorization. If ``escalations`` > 0 and
-    the factorization fails, a ridge starting at 1e-12 times the mean diagonal
-    is added and grown a hundredfold per retry; each retry bumps the
+    The input is symmetrized before factorization; a non-finite entry raises
+    ``ValueError``. The factor comes from LAPACK ``dpotrf`` called directly,
+    the same routine ``scipy.linalg.cholesky`` wraps, with its upper triangle
+    zeroed. If ``escalations`` > 0 and the factorization fails, a ridge
+    starting at 1e-12 times the mean diagonal is added and grown a
+    hundredfold per retry; each retry bumps the
     ``near_singular_factorizations`` counter in ``diagnostics``. Raises
     :class:`NumericalError` once retries are exhausted.
     """
     sym = 0.5 * (matrix + matrix.T)
-    scale = float(np.mean(np.diag(sym)))
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
+    if not np.all(np.isfinite(sym)):
+        raise ValueError(f"{label} contains non-finite entries")
     ridge = 0.0
-    for attempt in range(escalations + 1):
-        try:
-            shifted = sym if ridge == 0.0 else sym + ridge * np.eye(sym.shape[0])
-            factor = cholesky(shifted, lower=True)
-        except LinAlgError:
-            if diagnostics is not None:
-                diagnostics["near_singular_factorizations"] = (
-                    diagnostics.get("near_singular_factorizations", 0) + 1
-                )
-            ridge = 1e-12 * scale if ridge == 0.0 else ridge * 100.0
-            continue
-        return factor
+    for _ in range(escalations + 1):
+        shifted = sym if ridge == 0.0 else sym + ridge * np.eye(sym.shape[0])
+        factor, info = dpotrf(shifted, lower=1, clean=1)
+        if info == 0:
+            return factor
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info} for {label}")
+        if diagnostics is not None:
+            diagnostics["near_singular_factorizations"] = (
+                diagnostics.get("near_singular_factorizations", 0) + 1
+            )
+        if ridge == 0.0:
+            scale = float(np.mean(np.diag(sym)))
+            if not np.isfinite(scale) or scale <= 0.0:
+                scale = 1.0
+            ridge = 1e-12 * scale
+        else:
+            ridge *= 100.0
     raise NumericalError(f"Cholesky factorization of {label} failed", attempted_jitter=ridge)
 
 

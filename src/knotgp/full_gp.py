@@ -3,8 +3,9 @@
 Serves two purposes: it is a usable model in its own right, and it is the
 reference against which the sparse approximations are checked (objective
 lower bounds, predictive divergences). All solves go through a Cholesky
-factor of ``Sigma_xx + (tau2 + jitter) I``; no matrix is ever inverted
-explicitly outside the gradient, which needs the full inverse anyway.
+factor of ``Sigma_xx + (tau2 + jitter) I``. Only the gradient of the log
+marginal likelihood, which needs the full inverse, forms it, from that factor
+with one LAPACK ``potri``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotri
+
+from .adadelta import MaximizeResult, OptimizerConfig, maximize
 from .common import (LOG_2PI, NumericalError, PredictiveDistribution,
                      as_input_matrix, as_vector, chol_lower, tri_solve)
 from .kernels import KernelParams, squared_distances
@@ -40,34 +44,62 @@ class FullGPModel:
         return self.train_inputs.shape[0]
 
 
-def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0, *,
-             _sqdist: np.ndarray | None = None) -> FullGPModel:
-    """Fit an exact GP by factorizing the noisy training covariance.
-
-    ``_sqdist``, private to the package, is ``squared_distances(x, x)`` when
-    the caller already holds it, as a hyperparameter search over fixed
-    inputs does.
-    """
+def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = as_input_matrix(x, "training inputs")
     y = as_vector(y, "training targets")
     if x.shape[0] != y.size:
         raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
-    d2 = squared_distances(x, x) if _sqdist is None else _sqdist
+    return x, y
+
+
+def _factorize(d2: np.ndarray, resid: np.ndarray, params: KernelParams):
+    """Kernel matrix, Cholesky factor of the noisy training covariance and
+    ``alpha``, from the training inputs' squared distances and the centered
+    targets, which must already be validated."""
     kmat = params.signal_variance * np.exp(-0.5 * d2 / params.lengthscale ** 2)
-    noisy = kmat + (params.noise_variance + params.latent_jitter) * np.eye(x.shape[0])
-    diagnostics: dict = {}
+    noisy = kmat.copy()
+    noisy.flat[::noisy.shape[0] + 1] += params.noise_variance + params.latent_jitter
     try:
-        factor = chol_lower(noisy, escalations=0, diagnostics=diagnostics,
-                            label="training covariance")
+        factor = chol_lower(noisy, escalations=0, label="training covariance")
     except NumericalError as err:
         raise NumericalError(
             "training covariance is not positive definite",
             attempted_jitter=params.latent_jitter,
         ) from err
-    resid = y - mean_constant
     alpha = tri_solve(factor, tri_solve(factor, resid), trans=True)
-    return FullGPModel(params, x, y, float(mean_constant), factor, alpha, kmat, d2,
-                       diagnostics)
+    return kmat, factor, alpha
+
+
+def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPModel:
+    """Fit an exact GP by factorizing the noisy training covariance."""
+    x, y = _training_data(x, y)
+    d2 = squared_distances(x, x)
+    kmat, factor, alpha = _factorize(d2, y - mean_constant, params)
+    return FullGPModel(params, x, y, float(mean_constant), factor, alpha, kmat, d2)
+
+
+def fit_hyperparameters(x, y, init_params: KernelParams,
+                        optimizer_config: OptimizerConfig
+                        ) -> tuple[FullGPModel, MaximizeResult]:
+    """Maximize the log marginal likelihood of a zero-mean exact GP over
+    (log s2, log ell, log tau2), starting from ``init_params``.
+
+    The inputs are validated and their squared distances computed once for
+    the whole search; the jitter keeps its ratio to the signal variance.
+    Returns the model refitted at the best parameters seen, and the
+    optimizer's result.
+    """
+    x, y = _training_data(x, y)
+    d2 = squared_distances(x, x)
+
+    def objective(vec):
+        params = init_params.with_log_vector(vec)
+        kmat, factor, alpha = _factorize(d2, y, params)
+        model = FullGPModel(params, x, y, 0.0, factor, alpha, kmat, d2)
+        return log_marginal_likelihood(model, with_grad=True)
+
+    result = maximize(objective, init_params.log_vector(), optimizer_config)
+    return fit_full(x, y, init_params.with_log_vector(result.x)), result
 
 
 def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
@@ -84,12 +116,16 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
     if not with_grad:
         return float(value)
     params = model.params
-    half_inverse = tri_solve(model.chol, np.eye(n))
-    weight = np.outer(model.alpha, model.alpha) - half_inverse.T @ half_inverse
-    weighted_kernel = weight * model.kernel_matrix
-    trace = np.trace(weight)
-    d_log_s2 = 0.5 * (np.sum(weighted_kernel) + params.latent_jitter * trace)
-    d_log_ell = 0.5 * np.sum(weighted_kernel * model.sqdist) / params.lengthscale ** 2
+    inverse, info = dpotri(model.chol, lower=1)
+    if info != 0:
+        raise NumericalError(f"dpotri failed with info={info}")
+    # potri fills the lower triangle; the upper one is mirrored from it
+    inverse = np.where(np.tri(n, dtype=bool), inverse, inverse.T)
+    weight = np.outer(model.alpha, model.alpha) - inverse
+    trace = float(np.trace(weight))
+    weight *= model.kernel_matrix
+    d_log_s2 = 0.5 * (np.sum(weight) + params.latent_jitter * trace)
+    d_log_ell = 0.5 * np.vdot(weight, model.sqdist) / params.lengthscale ** 2
     d_log_tau2 = 0.5 * trace * params.noise_variance
     return float(value), np.array([d_log_s2, d_log_ell, d_log_tau2])
 

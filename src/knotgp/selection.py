@@ -154,18 +154,10 @@ def propose_rs(model: SparseGPModel, candidate_pool, subset_size: int, seed) -> 
 
 def _fit_surrogate(inputs: np.ndarray, gains: np.ndarray, init_params: KernelParams):
     """Hyperparameters of the proposal surrogate by marginal-likelihood ascent."""
-    sqdist = squared_distances(inputs, inputs)
-
-    def fg(vec):
-        p = init_params.with_log_vector(vec)
-        m = full_gp.fit_full(inputs, gains, p, mean_constant=0.0, _sqdist=sqdist)
-        return full_gp.log_marginal_likelihood(m, with_grad=True)
-
     cfg = OptimizerConfig(max_steps=150, rel_tol=1e-4, patience=5)
     try:
-        res = maximize(fg, init_params.log_vector(), cfg)
-        fitted = init_params.with_log_vector(res.x)
-        return full_gp.fit_full(inputs, gains, fitted, mean_constant=0.0), fitted
+        surrogate, _ = full_gp.fit_hyperparameters(inputs, gains, init_params, cfg)
+        return surrogate, surrogate.params
     except (NumericalError, ValueError):
         return full_gp.fit_full(inputs, gains, init_params, mean_constant=0.0), init_params
 

@@ -36,6 +36,66 @@ def dense_elbo(x, y, knots, params, mean_constant=0.0):
     return float(ll - trace)
 
 
+def mp_elbo(x, y, knots, params, mean_constant=0.0, with_grad=False, dps=50):
+    """The bound of :func:`dense_elbo` in ``dps``-digit mpmath arithmetic,
+    for tiny cases whose ``Suu`` is too ill-conditioned for float64 oracles.
+
+    The float inputs are taken as exact. The Gaussian term goes through the
+    K x K Woodbury form ``A = Suu + S S^T / tau2``. With ``with_grad`` also
+    returns the gradient with respect to (log s2, log ell, log tau2) and the
+    knot coordinates row by row, by central differences at the same
+    precision; the jitter keeps its ratio to s2, as in ``with_log_vector``.
+    """
+    import mpmath
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    knots = np.atleast_2d(np.asarray(knots, dtype=float))
+    n, (k, d) = len(y), knots.shape
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        xs = [[mpf(v) for v in row] for row in x.tolist()]
+        resid = [mpf(v) - mpf(mean_constant) for v in np.asarray(y, dtype=float).tolist()]
+        base = [mpf(v) for v in knots.reshape(-1).tolist()]
+
+        def value(shift):
+            scale = mpmath.exp(shift[0])
+            s2, jitter = mpf(params.signal_variance) * scale, mpf(params.latent_jitter) * scale
+            ell2 = (mpf(params.lengthscale) * mpmath.exp(shift[1])) ** 2
+            tau2 = mpf(params.noise_variance) * mpmath.exp(shift[2])
+            u = [[base[i * d + j] + shift[3 + i * d + j] for j in range(d)] for i in range(k)]
+
+            def kern(a, b):
+                return s2 * mpmath.exp(-mpmath.fsum((p - q) ** 2 for p, q in zip(a, b))
+                                       / (2 * ell2))
+
+            suu = mpmath.matrix([[kern(u[i], u[j]) + (jitter if i == j else 0)
+                                  for j in range(k)] for i in range(k)])
+            s = [[kern(u[i], xs[t]) for t in range(n)] for i in range(k)]
+            sst = mpmath.matrix([[mpmath.fdot(s[i], s[j]) for j in range(k)]
+                                 for i in range(k)])
+            sr = mpmath.matrix([mpmath.fdot(s[i], resid) for i in range(k)])
+            a = suu + sst / tau2
+            log_det = mpmath.log(mpmath.det(a)) - mpmath.log(mpmath.det(suu)) \
+                + n * mpmath.log(tau2)
+            quad = mpmath.fdot(resid, resid) / tau2 \
+                - mpmath.fdot(sr, mpmath.lu_solve(a, sr)) / tau2 ** 2
+            psi_trace = sum(mpmath.lu_solve(suu, sst[:, j])[j] for j in range(k))
+            return (-(n * mpmath.log(2 * mpmath.pi) + log_det + quad) / 2
+                    - (n * (s2 + jitter) - psi_trace) / (2 * tau2))
+
+        zero = [mpf(0)] * (3 + k * d)
+        out = float(value(zero))
+        if not with_grad:
+            return out
+        step = mpf(10) ** (-(dps // 3))
+        grad = np.empty(3 + k * d)
+        for i in range(grad.size):
+            forward, backward = list(zero), list(zero)
+            forward[i], backward[i] = step, -step
+            grad[i] = float((value(forward) - value(backward)) / (2 * step))
+        return out, grad
+
+
 def dense_fic_log_marginal(x, y, knots, params, mean_constant=0.0):
     n = len(y)
     psi = dense_psi(x, x, knots, params)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from knotgp import (KernelParams, fit_full, log_marginal_likelihood, predict_full)
+from knotgp import (KernelParams, NumericalError, OptimizerConfig, fit_full,
+                    fit_hyperparameters, log_marginal_likelihood, maximize, predict_full)
+from knotgp import full_gp, selection
 
-from oracles import central_difference, dense_full_predict
+from oracles import central_difference, dense_full_predict, se_kernel_matrix
 
 
 class TestFitFull:
@@ -71,6 +73,34 @@ class TestLogMarginalLikelihood:
             fd = central_difference(objective, p.log_vector(), step=1e-5)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [1, 29, 320])
+    def test_value_and_gradient_match_dense_inverse(self, n):
+        # R&W eq. 5.9 with K^{-1} from np.linalg.inv: d/dtheta = 0.5 tr((a a^T - K^{-1}) dK)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(n)
+        p = KernelParams(1.3, 0.9, 0.1)
+        kmat = se_kernel_matrix(x, x, p)
+        cov = kmat + (p.noise_variance + p.latent_jitter) * np.eye(n)
+        inverse = np.linalg.inv(cov)
+        alpha = inverse @ y
+        _, log_det = np.linalg.slogdet(cov)
+        value = -0.5 * (n * np.log(2.0 * np.pi) + log_det + y @ alpha)
+        weight = np.outer(alpha, alpha) - inverse
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+        derivatives = (kmat + p.latent_jitter * np.eye(n),
+                       kmat * d2 / p.lengthscale ** 2,
+                       p.noise_variance * np.eye(n))
+        grad = np.array([0.5 * np.sum(weight * dk) for dk in derivatives])
+
+        model = fit_full(x, y, p)
+        got_value, got_grad = log_marginal_likelihood(model, with_grad=True)
+        assert abs(got_value - value) <= 1e-10 * abs(value)
+        assert np.max(np.abs(got_grad - grad)) <= 1e-10 * np.max(np.abs(grad))
+        # only the lower triangle of the factor is read
+        model.chol = model.chol + np.triu(np.full((n, n), 7.0), 1)
+        assert log_marginal_likelihood(model, with_grad=True)[1].tolist() == got_grad.tolist()
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 2))
@@ -80,6 +110,56 @@ class TestLogMarginalLikelihood:
         perm = rng.permutation(10)
         shuffled = log_marginal_likelihood(fit_full(x[perm], y[perm], p))
         assert shuffled == pytest.approx(base, abs=1e-9)
+
+
+class TestFitHyperparameters:
+    @pytest.mark.parametrize("n, d, steps", [(29, 5, 150), (80, 2, 60)])
+    def test_matches_a_closure_over_fit_full(self, n, d, steps):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, d))
+        y = np.cos(x[:, 0]) + 0.2 * rng.standard_normal(n)
+        init = KernelParams(float(np.var(y)), 1.0, 0.05)
+        config = OptimizerConfig(max_steps=steps, rel_tol=1e-4, patience=5)
+
+        def closure(vec):
+            return log_marginal_likelihood(fit_full(x, y, init.with_log_vector(vec)),
+                                           with_grad=True)
+
+        expected = maximize(closure, init.log_vector(), config)
+        model, result = fit_hyperparameters(x, y, init, config)
+        assert result.n_steps == expected.n_steps
+        assert result.stop_reason == expected.stop_reason
+        np.testing.assert_allclose(result.x, expected.x, rtol=1e-10, atol=0.0)
+        assert result.fun == pytest.approx(expected.fun, rel=1e-10)
+        assert model.params == init.with_log_vector(expected.x)
+        refit = fit_full(x, y, model.params)
+        np.testing.assert_array_equal(model.alpha, refit.alpha)
+        assert log_marginal_likelihood(model) == pytest.approx(result.fun, rel=1e-12)
+
+    def test_inputs_validated(self):
+        config = OptimizerConfig(max_steps=5)
+        with pytest.raises(ValueError, match="row count"):
+            fit_hyperparameters(np.zeros((3, 1)), np.zeros(2), KernelParams(1.0, 1.0, 0.1),
+                                config)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_hyperparameters([[0.0], [np.nan]], [0.0, 1.0], KernelParams(1.0, 1.0, 0.1),
+                                config)
+
+    @pytest.mark.parametrize("error", [NumericalError, ValueError])
+    def test_surrogate_falls_back_to_initial_parameters(self, monkeypatch, error):
+        rng = np.random.default_rng(9)
+        inputs = rng.standard_normal((12, 2))
+        gains = rng.standard_normal(12)
+        init = KernelParams(1.0, 1.0, 1e-6)
+
+        def failing(*args, **kwargs):
+            raise error("search failed")
+
+        monkeypatch.setattr(full_gp, "fit_hyperparameters", failing)
+        surrogate, params = selection._fit_surrogate(inputs, gains, init)
+        assert params is init
+        assert surrogate.params is init
+        np.testing.assert_array_equal(surrogate.alpha, fit_full(inputs, gains, init).alpha)
 
 
 class TestPredictFull:

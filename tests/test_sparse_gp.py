@@ -9,7 +9,8 @@ from knotgp.adadelta import OptimizerConfig
 from knotgp.selection import kmeans_init, simultaneous_optimize
 
 from oracles import (central_difference, dense_elbo, dense_fic_log_marginal,
-                     dense_predict, dense_psi, random_instance, se_kernel_matrix)
+                     dense_predict, dense_psi, mp_elbo, random_instance,
+                     se_kernel_matrix)
 
 
 class TestKnotSet:
@@ -182,30 +183,34 @@ class TestElboGrad:
 
 class TestDenseOracleGradient:
     """The DTC value and adjoint gradient (parameters, one knot, all knots)
-    against central differences of the dense oracle."""
+    against a reference value and gradient: central differences of the dense
+    oracle where ``Suu`` is well conditioned, a 50-digit evaluation where it
+    is not."""
 
     @staticmethod
-    def _errors(x, y, knots, p, step, active):
-        model = fit_sparse(Approximation.DTC, x, y, p, knots)
-        dense_value = dense_elbo(x, y, knots, p)
-
+    def _dense_reference(x, y, knots, p, step):
         def dense(vec):
             return dense_elbo(x, y, vec[3:].reshape(knots.shape),
                               p.with_log_vector(vec[:3]))
 
         point = np.concatenate([p.log_vector(), knots.reshape(-1)])
-        fd = central_difference(dense, point, step=step)
-        d = knots.shape[1]
-        fd_one = np.concatenate([fd[:3], fd[3 + active * d:3 + (active + 1) * d]])
+        return dense_elbo(x, y, knots, p), central_difference(dense, point, step=step)
 
-        def rel(grad, ref):
-            return np.max(np.abs(grad - ref)) / (np.max(np.abs(ref)) + 1.0)
+    @staticmethod
+    def _errors(x, y, knots, p, reference, active):
+        value, grad = reference
+        model = fit_sparse(Approximation.DTC, x, y, p, knots)
+        d = knots.shape[1]
+        grad_one = np.concatenate([grad[:3], grad[3 + active * d:3 + (active + 1) * d]])
+
+        def rel(got, ref):
+            return np.max(np.abs(got - ref)) / (np.max(np.abs(ref)) + 1.0)
 
         return {
-            "value": abs(elbo(model) - dense_value) / abs(dense_value),
-            "params": rel(elbo_grad(model)[1], fd[:3]),
-            "one knot": rel(elbo_grad(model, active_knot_index=active)[1], fd_one),
-            "all knots": rel(elbo_grad(model, all_knots=True)[1], fd),
+            "value": abs(elbo(model) - value) / abs(value),
+            "params": rel(elbo_grad(model)[1], grad[:3]),
+            "one knot": rel(elbo_grad(model, active_knot_index=active)[1], grad_one),
+            "all knots": rel(elbo_grad(model, all_knots=True)[1], grad),
         }
 
     def test_well_conditioned(self):
@@ -213,23 +218,30 @@ class TestDenseOracleGradient:
         tolerances = {"value": 1e-12, "params": 1e-9, "one knot": 1e-9, "all knots": 1e-9}
         for _ in range(5):
             x, y, knots, p = random_instance(rng, 12, 3, 2)
-            errors = self._errors(x, y, knots, p, 1e-5, 1)
+            errors = self._errors(x, y, knots, p, self._dense_reference(x, y, knots, p, 1e-5),
+                                  1)
             for key, tol in tolerances.items():
                 assert errors[key] <= tol, (key, errors)
 
     def test_near_duplicate_knots(self):
-        # the dense oracle inverts Suu explicitly, so at cond(Suu) >= 1e8 its
-        # own round-off, amplified by the finite differences, sets these
-        # tolerances; the model's error is far below them
+        # At cond(Suu) >= 1e8 the float64 dense oracle's own round-off
+        # (explicit Suu^{-1}, amplified by finite differences) exceeds the
+        # model's error, so the reference is a 50-digit evaluation. The
+        # tolerances are what this code reaches on these cases (at most 5.1e-10,
+        # 7.2e-10, 4.8e-8, 4.8e-8); taking Suu^{-1} explicitly in the adjoint
+        # gradient, for g or for L^{-T} E, raises the parameter error to
+        # 1.2e-9 or 3.0e-9.
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(32)
-        tolerances = {"value": 1e-8, "params": 3e-3, "one knot": 2e-4, "all knots": 2e-4}
+        tolerances = {"value": 1e-9, "params": 8e-10, "one knot": 5e-8, "all knots": 5e-8}
         for _ in range(5):
             x, y, knots, p = random_instance(rng, 12, 4, 2)
             direction = rng.standard_normal(2)
             knots[3] = knots[0] + 1e-4 * p.lengthscale * direction / np.linalg.norm(direction)
             suu = se_kernel_matrix(knots, knots, p) + p.latent_jitter * np.eye(4)
             assert np.linalg.cond(suu) >= 1e8
-            errors = self._errors(x, y, knots, p, 1e-6, 3)
+            reference = mp_elbo(x, y, knots, p, with_grad=True)
+            errors = self._errors(x, y, knots, p, reference, 3)
             for key, tol in tolerances.items():
                 assert errors[key] <= tol, (key, errors)
 
