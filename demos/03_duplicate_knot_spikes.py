@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from knotgp.bench import spike_demo
+from knotgp.demos import spike_demo
 
 out = Path(__file__).parent / "out"
 result = spike_demo(seed=0, out_dir=out, jitter_ratio=1e-3)

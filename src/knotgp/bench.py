@@ -1,10 +1,13 @@
-"""Dataset ingestion, experiment orchestration and result persistence.
+"""The experiment harness: the paper's comparison protocol on a CSV dataset.
 
-An experiment fits a roster of models to repeated random train/test splits
-of one CSV dataset. Predictors and targets are standardized by training-set
-statistics; metrics are always computed back on the original target scale.
-Every random choice descends from the experiment seed, so a rerun with the
-same configuration reproduces the numbers exactly.
+``load_csv`` reads the predictor and target columns and applies row filters.
+``experiment_runs`` derives each run's seeded train/test split, standardized
+by training-set statistics, and one seed per roster entry; every random
+choice descends from the experiment seed, so a rerun with the same
+configuration reproduces the numbers exactly. ``run_experiment`` fits the
+roster (OAT-BO, OAT-RS, simultaneous refinement, full GP) on every run and
+scores each model on the original target scale, and ``emit_results`` writes
+the results CSV, one trace JSON per run and model, and a summary.
 """
 
 from __future__ import annotations
@@ -165,17 +168,21 @@ class RosterEntry:
     model_id: str
     knot_selection: str            # OAT-BO | OAT-RS | Simult | none
     approximation: str             # VFE | FIC | FullGP
-    knot_init: str = "kmeans"      # kmeans | from-model:<id>
+    knot_init: str = "kmeans"      # kmeans | from-model:<id>, Simult only
 
     def __post_init__(self):
         if self.knot_selection not in KNOT_SELECTIONS:
             raise ValueError(f"unknown knot_selection {self.knot_selection!r}")
         if self.approximation not in APPROXIMATIONS:
             raise ValueError(f"unknown approximation {self.approximation!r}")
-        if self.approximation == "FullGP" and self.knot_selection != "none":
-            raise ValueError("a FullGP entry must use knot_selection 'none'")
+        if (self.approximation == "FullGP") != (self.knot_selection == "none"):
+            raise ValueError("knot_selection 'none' goes with approximation 'FullGP' "
+                             "and only with it")
         if not (self.knot_init == "kmeans" or self.knot_init.startswith("from-model:")):
             raise ValueError(f"unknown knot_init {self.knot_init!r}")
+        if self.knot_init != "kmeans" and self.knot_selection != "Simult":
+            raise ValueError(f"model {self.model_id!r}: knot_init applies only to "
+                             "Simult entries")
 
 
 @dataclass
@@ -195,52 +202,57 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def __post_init__(self):
-        ids = [entry.model_id for entry in self.model_roster]
-        if len(set(ids)) != len(ids):
-            raise ValueError("model roster ids must be unique")
-        seen = set()
+        if self.n_runs < 1:
+            raise ValueError(f"n_runs must be at least 1, got {self.n_runs}")
+        earlier: dict[str, RosterEntry] = {}
         for entry in self.model_roster:
+            if entry.model_id in earlier:
+                raise ValueError("model roster ids must be unique")
             if entry.knot_init.startswith("from-model:"):
                 ref = entry.knot_init.split(":", 1)[1]
-                if ref not in seen:
+                if ref not in earlier or earlier[ref].approximation == "FullGP":
                     raise ValueError(
                         f"model {entry.model_id!r} references {ref!r}, which is not "
-                        "an earlier roster entry"
+                        "an earlier sparse roster entry"
                     )
-            seen.add(entry.model_id)
+            earlier[entry.model_id] = entry
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        roster = [RosterEntry(**entry) for entry in raw.get("model_roster", [])]
-        oat_raw = dict(raw.get("oat", {}))
-        oat_raw.setdefault("rng_seed", raw.get("rng_seed", 0))
-        init = raw.get("init_params", {})
-        params = KernelParams(
-            init.get("signal_variance", 1.0),
-            init.get("lengthscale", 1.0),
-            init.get("noise_variance", 0.1),
-            latent_jitter=init.get("latent_jitter"),
+        """Build a config from parsed JSON; an unknown key raises ``TypeError``.
+        The OAT seed defaults to the experiment seed."""
+        raw = dict(raw)
+        init = {"signal_variance": 1.0, "lengthscale": 1.0, "noise_variance": 0.1,
+                **raw.pop("init_params", {})}
+        nested = dict(
+            filter_rules=[tuple(rule) for rule in raw.pop("filter_rules", [])],
+            model_roster=[RosterEntry(**entry) for entry in raw.pop("model_roster", [])],
+            oat=OATConfig(**{"rng_seed": raw.get("rng_seed", 0), **raw.pop("oat", {})}),
+            optimizer=OptimizerConfig(**raw.pop("optimizer", {})),
+            init_params=KernelParams(**init),
         )
-        return cls(
-            dataset_path=raw["dataset_path"],
-            predictor_columns=list(raw["predictor_columns"]),
-            target_column=raw["target_column"],
-            filter_rules=[tuple(rule) for rule in raw.get("filter_rules", [])],
-            split_fraction=raw.get("split_fraction", 0.8),
-            n_runs=raw.get("n_runs", 5),
-            rng_seed=raw.get("rng_seed", 0),
-            model_roster=roster,
-            oat=OATConfig(**oat_raw),
-            optimizer=OptimizerConfig(**raw.get("optimizer", {})),
-            output_dir=raw.get("output_dir", "results"),
-            init_params=params,
-            record_timing=raw.get("record_timing", True),
-        )
+        return cls(**raw, **nested)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
+
+
+def experiment_runs(config: ExperimentConfig, table: Table):
+    """Yield ``(run index, dataset, model seeds)`` for each run of ``config``.
+
+    Run r takes the r-th child of the experiment seed and spawns from it the
+    seed of its train/test split, then one seed per roster entry in roster
+    order.
+    """
+    for run_index, run_seq in enumerate(
+            np.random.SeedSequence(config.rng_seed).spawn(config.n_runs)):
+        split_seed, *model_seqs = run_seq.spawn(1 + len(config.model_roster))
+        dataset = split_and_standardize(table, config.predictor_columns,
+                                        config.target_column, config.split_fraction,
+                                        split_seed)
+        yield run_index, dataset, [int(seq.generate_state(1)[0]) for seq in model_seqs]
 
 
 @dataclass
@@ -255,161 +267,104 @@ class RunResult:
     error: str | None = None
 
 
-# -- model fitting ---------------------------------------------------------------
+# -- orchestration ---------------------------------------------------------------
 
-@dataclass
-class _FittedModel:
-    predictive_original: PredictiveDistribution
-    objective: float
-    params: KernelParams
-    knots: np.ndarray | None
-    seconds: float
-    history: list                   # [{"knots": k, "objective": v}, ...]
-    is_full_gp: bool = False
-    selection: dict | None = None   # full OAT trace, when one exists
+def _fit_entry(entry: RosterEntry, config: ExperimentConfig, dataset: Dataset,
+               seed: int, fitted: dict):
+    """Fit one roster entry to a run's training split.
 
-
-def _fit_full_gp_entry(dataset: Dataset, init_params: KernelParams,
-                       optimizer_config: OptimizerConfig) -> _FittedModel:
-    start = time.perf_counter()
-    model, res = full_gp.fit_hyperparameters(dataset.x_train, dataset.y_train, init_params,
-                                             optimizer_config)
-    pred = full_gp.predict_full(model, dataset.x_test)
-    seconds = time.perf_counter() - start
-    return _FittedModel(dataset.to_original_scale(pred), res.fun, model.params, None,
-                        seconds, [{"knots": 0, "objective": res.fun}], is_full_gp=True)
-
-
-def _fit_oat_entry(entry: RosterEntry, dataset: Dataset, init_params: KernelParams,
-                   oat_config: OATConfig, optimizer_config: OptimizerConfig,
-                   seed: int) -> _FittedModel:
-    proposal = "bo" if entry.knot_selection == "OAT-BO" else "rs"
-    objective = "vfe" if entry.approximation == "VFE" else "fic"
-    config = replace(oat_config, proposal=proposal, objective=objective, rng_seed=seed)
-    start = time.perf_counter()
-    model, trace = oat_select(dataset.x_train, dataset.y_train, init_params, config,
-                              optimizer_config)
-    seconds = time.perf_counter() - start
-    pred = model.predict(dataset.x_test)
-    history = [{"knots": step.knot_count, "objective": step.objective_after}
-               for step in trace.steps]
-    return _FittedModel(dataset.to_original_scale(pred), model.objective(),
-                        model.params, model.knots.locations, seconds, history,
-                        selection=trace.to_dict())
-
-
-def _fit_simult_entry(entry: RosterEntry, dataset: Dataset, init_params: KernelParams,
-                      optimizer_config: OptimizerConfig, seed: int,
-                      fitted: dict, roster: list) -> _FittedModel:
-    objective = "vfe" if entry.approximation == "VFE" else "fic"
-    if entry.knot_init.startswith("from-model:"):
-        source = fitted[entry.knot_init.split(":", 1)[1]]
-        knots0 = source.knots.copy()
-        params0 = source.params
-    else:
-        # knot count follows the OAT-BO model of the same run
-        source_id = None
-        for other in roster:
+    ``fitted`` maps the model ids fitted earlier in the run to their models.
+    Returns ``(model, objective, history, selection trace or None)``, where
+    ``history`` lists ``{"knots", "objective"}`` from the first objective
+    recorded to the last.
+    """
+    x, y = dataset.x_train, dataset.y_train
+    if entry.approximation == "FullGP":
+        model, res = full_gp.fit_hyperparameters(x, y, config.init_params, config.optimizer)
+        return model, res.fun, [{"knots": 0, "objective": res.fun}], None
+    objective = entry.approximation.lower()
+    if entry.knot_selection != "Simult":
+        proposal = "bo" if entry.knot_selection == "OAT-BO" else "rs"
+        oat = replace(config.oat, proposal=proposal, objective=objective, rng_seed=seed)
+        model, trace = oat_select(x, y, config.init_params, oat, config.optimizer)
+        history = [{"knots": step.knot_count, "objective": step.objective_after}
+                   for step in trace.steps]
+        return model, model.objective(), history, trace.to_dict()
+    if entry.knot_init == "kmeans":
+        # the knot count follows the last earlier OAT-BO entry, preferring one
+        # with the same approximation
+        source_id, same_approximation = None, False
+        for other in config.model_roster:
             if other.model_id == entry.model_id:
                 break
-            if other.knot_selection == "OAT-BO" and other.approximation == entry.approximation:
-                source_id = other.model_id
-        if source_id is None:
-            for other in roster:
-                if other.model_id == entry.model_id:
-                    break
-                if other.knot_selection == "OAT-BO":
-                    source_id = other.model_id
-        if source_id is None or source_id not in fitted:
+            same = other.approximation == entry.approximation
+            if other.knot_selection == "OAT-BO" and (same or not same_approximation):
+                source_id, same_approximation = other.model_id, same
+        if source_id not in fitted:
             raise ValueError(
                 f"model {entry.model_id!r} needs an earlier OAT-BO entry to set its knot count"
             )
-        k = fitted[source_id].knots.shape[0]
-        knots0 = kmeans_init(dataset.x_train, k, seed)
-        params0 = init_params
-    start = time.perf_counter()
-    model, res = simultaneous_optimize(dataset.x_train, dataset.y_train, params0,
-                                       knots0, objective, optimizer_config)
-    seconds = time.perf_counter() - start
-    pred = model.predict(dataset.x_test)
+        knots0 = kmeans_init(x, fitted[source_id].n_knots, seed)
+        params0 = config.init_params
+    else:
+        source = fitted[entry.knot_init.split(":", 1)[1]]
+        knots0, params0 = source.knots.locations.copy(), source.params
+    model, res = simultaneous_optimize(x, y, params0, knots0, objective, config.optimizer)
     history = [{"knots": knots0.shape[0], "objective": float(v)} for v in res.trace]
-    return _FittedModel(dataset.to_original_scale(pred), res.fun, model.params,
-                        model.knots.locations, seconds, history)
+    return model, res.fun, history, None
 
 
 def run_experiment(config: ExperimentConfig):
     """Fit the whole roster on every run; returns (results, all_succeeded)."""
     table = load_csv(config.dataset_path, config.predictor_columns,
                      config.target_column, config.filter_rules)
-    master = np.random.SeedSequence(config.rng_seed)
-    run_sequences = master.spawn(config.n_runs)
+    full_gp_ids = {e.model_id for e in config.model_roster if e.approximation == "FullGP"}
     results: list[RunResult] = []
-    all_ok = True
-
-    for run_index, run_seq in enumerate(run_sequences):
-        split_seed, *model_seeds = run_seq.spawn(1 + len(config.model_roster))
-        dataset = split_and_standardize(table, config.predictor_columns,
-                                        config.target_column, config.split_fraction,
-                                        split_seed)
-        fitted: dict[str, _FittedModel] = {}
-        for entry, model_seq in zip(config.model_roster, model_seeds):
+    for run_index, dataset, seeds in experiment_runs(config, table):
+        fitted: dict = {}
+        predictions: dict[str, PredictiveDistribution] = {}   # original scale
+        for entry, seed in zip(config.model_roster, seeds):
             logger.info("run %d: fitting %s", run_index, entry.model_id)
-            model_seed = int(model_seq.generate_state(1)[0])
             try:
-                if entry.approximation == "FullGP":
-                    outcome = _fit_full_gp_entry(dataset, config.init_params,
-                                                 config.optimizer)
-                elif entry.knot_selection in ("OAT-BO", "OAT-RS"):
-                    outcome = _fit_oat_entry(entry, dataset, config.init_params,
-                                             config.oat, config.optimizer, model_seed)
-                elif entry.knot_selection == "Simult":
-                    outcome = _fit_simult_entry(entry, dataset, config.init_params,
-                                                config.optimizer, model_seed, fitted,
-                                                config.model_roster)
-                else:
-                    raise ValueError(
-                        f"entry {entry.model_id!r}: knot_selection 'none' is only "
-                        "valid for FullGP"
-                    )
+                start = time.perf_counter()
+                model, objective, history, selection = _fit_entry(entry, config, dataset,
+                                                                   seed, fitted)
+                seconds = time.perf_counter() - start
+                pred = (full_gp.predict_full(model, dataset.x_test)
+                        if entry.approximation == "FullGP" else model.predict(dataset.x_test))
             except Exception as err:  # noqa: BLE001 - a failed model must not kill the run
                 logger.exception("run %d: model %s failed", run_index, entry.model_id)
                 results.append(RunResult(run_index, entry.model_id, None, None, None,
-                                         {}, failed=True, error=str(err)))
-                all_ok = False
+                                         failed=True, error=str(err)))
                 continue
-            fitted[entry.model_id] = outcome
+            fitted[entry.model_id] = model
+            predictions[entry.model_id] = pred = dataset.to_original_scale(pred)
+            knots = None if entry.approximation == "FullGP" else model.knots.locations
             report = metrics_mod.MetricReport(
-                mnlp=metrics_mod.mnlp(outcome.predictive_original, dataset.y_test_original),
-                srmse=metrics_mod.srmse(outcome.predictive_original, dataset.y_test_original),
-                train_seconds=outcome.seconds,
-                knot_count=0 if outcome.knots is None else outcome.knots.shape[0],
+                mnlp=metrics_mod.mnlp(pred, dataset.y_test_original),
+                srmse=metrics_mod.srmse(pred, dataset.y_test_original),
+                train_seconds=seconds,
+                knot_count=0 if knots is None else knots.shape[0],
             )
-            trace_payload = {
-                "history": outcome.history,
-                "objective": outcome.objective,
-                "objective_before": outcome.history[0]["objective"]
-                if outcome.history else None,
-            }
-            if outcome.selection is not None:
-                trace_payload["selection"] = outcome.selection
-            results.append(RunResult(run_index, entry.model_id, report,
-                                     outcome.params, outcome.knots, trace_payload))
+            trace = {"history": history, "objective": objective,
+                     "objective_before": history[0]["objective"]}
+            if selection is not None:
+                trace["selection"] = selection
+            results.append(RunResult(run_index, entry.model_id, report, model.params,
+                                     knots, trace))
 
-        full_entry = next((m for m in fitted.values() if m.is_full_gp), None)
-        if full_entry is not None:
+        reference = next((pred for model_id, pred in predictions.items()
+                          if model_id in full_gp_ids), None)
+        if reference is not None:
             for result in results:
-                if result.run_index != run_index or result.failed or result.metrics is None:
-                    continue
-                outcome = fitted.get(result.model_id)
-                if outcome is None or outcome.is_full_gp:
-                    continue
-                value = metrics_mod.aukl(full_entry.predictive_original,
-                                         outcome.predictive_original)
-                result.metrics.aukl = value
-                result.metrics.log10_aukl = float(np.log10(value)) if value > 0 else None
+                if (result.run_index == run_index and result.model_id in predictions
+                        and result.model_id not in full_gp_ids):
+                    value = metrics_mod.aukl(reference, predictions[result.model_id])
+                    result.metrics.aukl = value
+                    result.metrics.log10_aukl = float(np.log10(value)) if value > 0 else None
 
     emit_results(results, config.output_dir, record_timing=config.record_timing)
-    return results, all_ok
+    return results, not any(result.failed for result in results)
 
 
 # -- persistence -----------------------------------------------------------------
@@ -420,6 +375,20 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _scrub_seconds(node):
+    if isinstance(node, dict):
+        return {key: _scrub_seconds(value) for key, value in node.items()
+                if not key.endswith("_seconds")}
+    if isinstance(node, list):
+        return [_scrub_seconds(item) for item in node]
+    return node
+
+
+def _mean_cell(values) -> str:
+    values = [v for v in values if v is not None]
+    return f"{np.mean(values):.6g}" if values else "-"
 
 
 def emit_results(results, output_dir, record_timing: bool = True):
@@ -433,39 +402,20 @@ def emit_results(results, output_dir, record_timing: bool = True):
     traces = out / "traces"
     traces.mkdir(exist_ok=True)
 
-    rows = []
-    for result in results:
-        rep = result.metrics
-        rows.append({
-            "run": result.run_index,
-            "model_id": result.model_id,
-            "mnlp": None if rep is None else rep.mnlp,
-            "srmse": None if rep is None else rep.srmse,
-            "aukl": None if rep is None else rep.aukl,
-            "log10_aukl": None if rep is None else rep.log10_aukl,
-            "seconds": (rep.train_seconds if (rep is not None and record_timing)
-                        else None),
-            "knots": None if rep is None else rep.knot_count,
-        })
-
     with open(out / "results.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[col]) for col in RESULT_COLUMNS])
-
-    def _scrub_seconds(node):
-        if isinstance(node, dict):
-            return {key: _scrub_seconds(value) for key, value in node.items()
-                    if not key.endswith("_seconds")}
-        if isinstance(node, list):
-            return [_scrub_seconds(item) for item in node]
-        return node
+        for result in results:
+            rep = result.metrics
+            cells = [None] * 6 if rep is None else [
+                rep.mnlp, rep.srmse, rep.aukl, rep.log10_aukl,
+                rep.train_seconds if record_timing else None, rep.knot_count]
+            writer.writerow([_format_cell(cell)
+                             for cell in [result.run_index, result.model_id, *cells]])
 
     for result in results:
         payload = {"run": result.run_index, "model_id": result.model_id,
-                   "failed": result.failed, "error": result.error}
-        payload.update(result.trace)
+                   "failed": result.failed, "error": result.error, **result.trace}
         if not record_timing:
             payload = _scrub_seconds(payload)
         name = f"run{result.run_index}_{result.model_id}.json"
@@ -473,146 +423,18 @@ def emit_results(results, output_dir, record_timing: bool = True):
             json.dump(payload, handle, indent=2, sort_keys=True)
 
     by_model: dict[str, list] = {}
-    order = []
     for result in results:
-        if result.model_id not in by_model:
-            order.append(result.model_id)
         by_model.setdefault(result.model_id, []).append(result)
     lines = ["model_id  runs  mean_mnlp  mean_srmse  mean_aukl  mean_seconds  mean_knots  failures"]
-    for model_id in order:
-        group = by_model[model_id]
+    for model_id, group in by_model.items():
         good = [r.metrics for r in group if r.metrics is not None]
-        failures = sum(1 for r in group if r.failed)
-
-        def mean_of(values):
-            values = [v for v in values if v is not None]
-            return f"{np.mean(values):.6g}" if values else "-"
-
         lines.append("  ".join([
             model_id, str(len(group)),
-            mean_of([m.mnlp for m in good]),
-            mean_of([m.srmse for m in good]),
-            mean_of([m.aukl for m in good]),
-            mean_of([m.train_seconds for m in good]) if record_timing else "-",
-            mean_of([float(m.knot_count) for m in good]),
-            str(failures),
+            _mean_cell([m.mnlp for m in good]),
+            _mean_cell([m.srmse for m in good]),
+            _mean_cell([m.aukl for m in good]),
+            _mean_cell([m.train_seconds for m in good]) if record_timing else "-",
+            _mean_cell([float(m.knot_count) for m in good]),
+            str(sum(1 for r in group if r.failed)),
         ]))
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-# -- demonstration pipelines -------------------------------------------------------
-
-def spike_demo(seed: int = 0, out_dir=None, n_points: int = 200, n_knots: int = 5,
-               n_grid: int = 401, noise_sd: float = 0.4, jitter_ratio: float = 1e-3):
-    """Fit a five-knot variational model to 1-d data, then sweep the location
-    of a sixth knot across the domain and record the objective.
-
-    The sweep exhibits the duplicate-knot spikes: at each existing knot the
-    objective drops sharply toward the five-knot baseline (a duplicate adds
-    no new span, so the gain collapses to the tiny nugget-recovery effect),
-    while generic locations gain substantially. The dip needs a small
-    nugget, such as the default ``jitter_ratio=1e-3``: the nugget-recovery
-    gain grows with it, and at ``jitter_ratio=0.1`` on seed 0 the knot near
-    0.945 shows an upward maximum instead (gain 0.883 at the knot against
-    0.853 and 0.875 at the +/- 2% offsets).
-
-    Returns a dict with the sweep grid, objective values, the fixed knots,
-    the no-sixth-knot baseline, and the objective at each fixed knot and at
-    offsets of +/- 2% of the domain width; optionally writes ``spike.csv``.
-    """
-    rng = np.random.default_rng(seed)
-    x = np.sort(rng.uniform(0.0, 1.0, n_points)).reshape(-1, 1)
-    f = np.sin(2.0 * np.pi * x[:, 0]) + 0.5 * np.cos(5.0 * np.pi * x[:, 0])
-    y = f + noise_sd * rng.standard_normal(n_points)
-    y = (y - y.mean()) / y.std()
-
-    init = KernelParams(1.0, 0.2, 0.1, latent_jitter=jitter_ratio)
-    knots0 = kmeans_init(x, n_knots, rng.integers(2 ** 32))
-    model, _ = simultaneous_optimize(x, y, init, knots0, "vfe",
-                                     OptimizerConfig(max_steps=400))
-    base = model.objective()
-    knots = np.sort(model.knots.locations[:, 0])
-
-    lo, hi = float(x.min()), float(x.max())
-    width = hi - lo
-    grid = np.linspace(lo, hi, n_grid)
-    sweep = np.array([model.objective_with_added_knot([s]) for s in grid])
-
-    offset = 0.02 * width
-    at_knots = np.array([model.objective_with_added_knot([k]) for k in knots])
-    above = np.array([model.objective_with_added_knot([k + offset]) for k in knots])
-    below = np.array([model.objective_with_added_knot([k - offset]) for k in knots])
-
-    result = {
-        "grid": grid, "objective": sweep, "knots": knots,
-        "baseline": base, "at_knots": at_knots, "plus_offset": above,
-        "minus_offset": below, "domain_width": width, "model": model,
-    }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "spike.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["sixth_knot_location", "objective", "baseline"])
-            for s, v in zip(grid, sweep):
-                writer.writerow([repr(float(s)), repr(float(v)), repr(base)])
-        with open(out / "spike_knots.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["knot", "objective_at", "objective_plus", "objective_minus"])
-            for k, a, p, m in zip(np.sort(knots), at_knots, above, below):
-                writer.writerow([repr(float(k)), repr(float(a)), repr(float(p)),
-                                 repr(float(m))])
-    return result
-
-
-def synth_demo(seed: int = 0, out_dir=None, n_points: int = 300, max_knots: int = 30,
-               noise_sd: float = 0.3):
-    """The one-dimensional walkthrough: 300 synthetic points, an OAT-BO
-    variational fit, and a simultaneous refinement started from it.
-
-    Returns a dict with both fitted models, the selection trace, and grid
-    predictions; optionally writes plot-ready CSVs.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, n_points).reshape(-1, 1)
-    f = np.sin(2.0 * np.pi * x[:, 0]) + 0.5 * np.sin(6.0 * np.pi * x[:, 0])
-    y = f + noise_sd * rng.standard_normal(n_points)
-    y = (y - y.mean()) / y.std()
-
-    config = OATConfig(initial_knot_count=5, max_knots=max_knots, proposal="bo",
-                       objective="vfe", rng_seed=int(rng.integers(2 ** 32)))
-    opt = OptimizerConfig(max_steps=300)
-    oat_model, trace = oat_select(x, y, KernelParams(1.0, 0.2, 0.1), config, opt)
-    refined, res = simultaneous_optimize(x, y, oat_model.params,
-                                         oat_model.knots.locations, "vfe", opt)
-
-    grid = np.linspace(0.0, 1.0, 201).reshape(-1, 1)
-    oat_pred = oat_model.predict(grid)
-    refined_pred = refined.predict(grid)
-
-    result = {
-        "x": x, "y": y, "oat_model": oat_model, "refined_model": refined,
-        "trace": trace, "grid": grid[:, 0], "oat_pred": oat_pred,
-        "refined_pred": refined_pred, "refinement": res,
-    }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "synth_fit.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x", "oat_mean", "oat_var", "refined_mean", "refined_var"])
-            for i, s in enumerate(grid[:, 0]):
-                writer.writerow([repr(float(s)),
-                                 repr(float(oat_pred.latent_mean[i])),
-                                 repr(float(oat_pred.latent_variance[i])),
-                                 repr(float(refined_pred.latent_mean[i])),
-                                 repr(float(refined_pred.latent_variance[i]))])
-        with open(out / "synth_trace.json", "w") as handle:
-            json.dump(trace.to_dict(), handle, indent=2, sort_keys=True)
-        with open(out / "synth_knots.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["oat_knot", "refined_knot"])
-            for a, b in zip(np.sort(oat_model.knots.locations[:, 0]),
-                            np.sort(refined.knots.locations[:, 0])):
-                writer.writerow([repr(float(a)), repr(float(b))])
-    return result

@@ -7,10 +7,9 @@ import json
 import logging
 import sys
 from dataclasses import replace
+from pathlib import Path
 
-import numpy as np
-
-from . import bench, metrics as metrics_mod
+from . import bench, demos, metrics as metrics_mod
 from .selection import oat_select
 
 
@@ -41,10 +40,7 @@ def _cmd_fit(args) -> int:
     config = _apply_overrides(bench.ExperimentConfig.from_json(args.config), args)
     table = bench.load_csv(config.dataset_path, config.predictor_columns,
                            config.target_column, config.filter_rules)
-    split_seed = np.random.SeedSequence(config.rng_seed).spawn(1)[0]
-    dataset = bench.split_and_standardize(table, config.predictor_columns,
-                                          config.target_column, config.split_fraction,
-                                          split_seed)
+    _, dataset, _ = next(bench.experiment_runs(config, table))
     model, trace = oat_select(dataset.x_train, dataset.y_train, config.init_params,
                               config.oat, config.optimizer)
     pred = dataset.to_original_scale(model.predict(dataset.x_test))
@@ -61,8 +57,6 @@ def _cmd_fit(args) -> int:
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out is not None:
-        from pathlib import Path
-
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "fit.json", "w") as handle:
@@ -79,7 +73,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_spike_demo(args) -> int:
-    result = bench.spike_demo(seed=args.seed if args.seed is not None else 0,
+    result = demos.spike_demo(seed=args.seed if args.seed is not None else 0,
                               out_dir=args.out or "spike-demo-out")
     knots = result["knots"]
     base = result["baseline"]
@@ -96,7 +90,7 @@ def _cmd_spike_demo(args) -> int:
 
 
 def _cmd_synth_demo(args) -> int:
-    result = bench.synth_demo(seed=args.seed if args.seed is not None else 0,
+    result = demos.synth_demo(seed=args.seed if args.seed is not None else 0,
                               out_dir=args.out or "synth-demo-out",
                               max_knots=args.max_knots or 30)
     model = result["oat_model"]
@@ -111,7 +105,7 @@ def main(argv=None) -> int:
                                      description="sparse GP regression benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit a single OAT model on a dataset")
+    fit = sub.add_parser("fit", help="fit a single OAT model on experiment run 0's split")
     fit.add_argument("--config", required=True, help="experiment config JSON")
     fit.add_argument("--max-knots", type=int, default=None)
     fit.add_argument("--proposal", choices=["bo", "rs"], default=None)
@@ -122,8 +116,6 @@ def main(argv=None) -> int:
     experiment = sub.add_parser("experiment", help="run the full roster protocol")
     experiment.add_argument("--config", required=True, help="experiment config JSON")
     experiment.add_argument("--max-knots", type=int, default=None)
-    experiment.add_argument("--proposal", choices=["bo", "rs"], default=None)
-    experiment.add_argument("--objective", choices=["vfe", "fic"], default=None)
     _add_common(experiment)
     experiment.set_defaults(func=_cmd_experiment)
 

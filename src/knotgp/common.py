@@ -53,15 +53,23 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
     the same routine ``scipy.linalg.cholesky`` wraps, with its upper triangle
     zeroed. If ``escalations`` > 0 and the factorization fails, a ridge
     starting at 1e-12 times the mean diagonal is added and grown a
-    hundredfold per retry; each retry bumps the
+    hundredfold per retry; each failed attempt bumps the
     ``near_singular_factorizations`` counter in ``diagnostics``. Raises
-    :class:`NumericalError` once retries are exhausted.
+    :class:`NumericalError`, carrying the ridge of the last attempt, once
+    retries are exhausted.
     """
     sym = 0.5 * (matrix + matrix.T)
     if not np.all(np.isfinite(sym)):
         raise ValueError(f"{label} contains non-finite entries")
     ridge = 0.0
-    for _ in range(escalations + 1):
+    for attempt in range(escalations + 1):
+        if attempt == 1:
+            scale = float(np.mean(np.diag(sym)))
+            if not np.isfinite(scale) or scale <= 0.0:
+                scale = 1.0
+            ridge = 1e-12 * scale
+        elif attempt > 1:
+            ridge *= 100.0
         shifted = sym if ridge == 0.0 else sym + ridge * np.eye(sym.shape[0])
         factor, info = dpotrf(shifted, lower=1, clean=1)
         if info == 0:
@@ -72,13 +80,6 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
             diagnostics["near_singular_factorizations"] = (
                 diagnostics.get("near_singular_factorizations", 0) + 1
             )
-        if ridge == 0.0:
-            scale = float(np.mean(np.diag(sym)))
-            if not np.isfinite(scale) or scale <= 0.0:
-                scale = 1.0
-            ridge = 1e-12 * scale
-        else:
-            ridge *= 100.0
     raise NumericalError(f"Cholesky factorization of {label} failed", attempted_jitter=ridge)
 
 

@@ -1,0 +1,135 @@
+"""Two small one-dimensional demonstrations of the library.
+
+``spike_demo`` sweeps a sixth knot across a converged five-knot variational
+fit to show the duplicate-knot dips of the objective; ``synth_demo`` is the
+300-point OAT-BO walkthrough followed by a simultaneous refinement. Both are
+seeded and can write plot-ready CSVs.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+
+from .adadelta import OptimizerConfig
+from .kernels import KernelParams
+from .selection import OATConfig, kmeans_init, oat_select, simultaneous_optimize
+
+
+def spike_demo(seed: int = 0, out_dir=None, n_points: int = 200, n_knots: int = 5,
+               n_grid: int = 401, noise_sd: float = 0.4, jitter_ratio: float = 1e-3):
+    """Fit a five-knot variational model to 1-d data, then sweep the location
+    of a sixth knot across the domain and record the objective.
+
+    The sweep exhibits the duplicate-knot spikes: at each existing knot the
+    objective drops sharply toward the five-knot baseline (a duplicate adds
+    no new span, so the gain collapses to the tiny nugget-recovery effect),
+    while generic locations gain substantially. The dip needs a small
+    nugget, such as the default ``jitter_ratio=1e-3``: the nugget-recovery
+    gain grows with it, and at ``jitter_ratio=0.1`` on seed 0 the knot near
+    0.945 shows an upward maximum instead (gain 0.883 at the knot against
+    0.853 and 0.875 at the +/- 2% offsets).
+
+    Returns a dict with the sweep grid, objective values, the fixed knots,
+    the no-sixth-knot baseline, and the objective at each fixed knot and at
+    offsets of +/- 2% of the domain width; optionally writes ``spike.csv``.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, n_points)).reshape(-1, 1)
+    f = np.sin(2.0 * np.pi * x[:, 0]) + 0.5 * np.cos(5.0 * np.pi * x[:, 0])
+    y = f + noise_sd * rng.standard_normal(n_points)
+    y = (y - y.mean()) / y.std()
+
+    init = KernelParams(1.0, 0.2, 0.1, latent_jitter=jitter_ratio)
+    knots0 = kmeans_init(x, n_knots, rng.integers(2 ** 32))
+    model, _ = simultaneous_optimize(x, y, init, knots0, "vfe",
+                                     OptimizerConfig(max_steps=400))
+    base = model.objective()
+    knots = np.sort(model.knots.locations[:, 0])
+
+    lo, hi = float(x.min()), float(x.max())
+    width = hi - lo
+    grid = np.linspace(lo, hi, n_grid)
+    sweep = np.array([model.objective_with_added_knot([s]) for s in grid])
+
+    offset = 0.02 * width
+    at_knots = np.array([model.objective_with_added_knot([k]) for k in knots])
+    above = np.array([model.objective_with_added_knot([k + offset]) for k in knots])
+    below = np.array([model.objective_with_added_knot([k - offset]) for k in knots])
+
+    result = {
+        "grid": grid, "objective": sweep, "knots": knots,
+        "baseline": base, "at_knots": at_knots, "plus_offset": above,
+        "minus_offset": below, "domain_width": width, "model": model,
+    }
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "spike.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["sixth_knot_location", "objective", "baseline"])
+            for s, v in zip(grid, sweep):
+                writer.writerow([repr(float(s)), repr(float(v)), repr(base)])
+        with open(out / "spike_knots.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["knot", "objective_at", "objective_plus", "objective_minus"])
+            for k, a, p, m in zip(np.sort(knots), at_knots, above, below):
+                writer.writerow([repr(float(k)), repr(float(a)), repr(float(p)),
+                                 repr(float(m))])
+    return result
+
+
+def synth_demo(seed: int = 0, out_dir=None, n_points: int = 300, max_knots: int = 30,
+               noise_sd: float = 0.3):
+    """The one-dimensional walkthrough: 300 synthetic points, an OAT-BO
+    variational fit, and a simultaneous refinement started from it.
+
+    Returns a dict with both fitted models, the selection trace, and grid
+    predictions; optionally writes plot-ready CSVs.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, n_points).reshape(-1, 1)
+    f = np.sin(2.0 * np.pi * x[:, 0]) + 0.5 * np.sin(6.0 * np.pi * x[:, 0])
+    y = f + noise_sd * rng.standard_normal(n_points)
+    y = (y - y.mean()) / y.std()
+
+    config = OATConfig(initial_knot_count=5, max_knots=max_knots, proposal="bo",
+                       objective="vfe", rng_seed=int(rng.integers(2 ** 32)))
+    opt = OptimizerConfig(max_steps=300)
+    oat_model, trace = oat_select(x, y, KernelParams(1.0, 0.2, 0.1), config, opt)
+    refined, res = simultaneous_optimize(x, y, oat_model.params,
+                                         oat_model.knots.locations, "vfe", opt)
+
+    grid = np.linspace(0.0, 1.0, 201).reshape(-1, 1)
+    oat_pred = oat_model.predict(grid)
+    refined_pred = refined.predict(grid)
+
+    result = {
+        "x": x, "y": y, "oat_model": oat_model, "refined_model": refined,
+        "trace": trace, "grid": grid[:, 0], "oat_pred": oat_pred,
+        "refined_pred": refined_pred, "refinement": res,
+    }
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "synth_fit.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["x", "oat_mean", "oat_var", "refined_mean", "refined_var"])
+            for i, s in enumerate(grid[:, 0]):
+                writer.writerow([repr(float(s)),
+                                 repr(float(oat_pred.latent_mean[i])),
+                                 repr(float(oat_pred.latent_variance[i])),
+                                 repr(float(refined_pred.latent_mean[i])),
+                                 repr(float(refined_pred.latent_variance[i]))])
+        with open(out / "synth_trace.json", "w") as handle:
+            json.dump(trace.to_dict(), handle, indent=2, sort_keys=True)
+        with open(out / "synth_knots.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["oat_knot", "refined_knot"])
+            for a, b in zip(np.sort(oat_model.knots.locations[:, 0]),
+                            np.sort(refined.knots.locations[:, 0])):
+                writer.writerow([repr(float(a)), repr(float(b))])
+    return result

@@ -70,11 +70,6 @@ class KernelParams:
         s2, ell, tau2 = np.exp(vec)
         return KernelParams(s2, ell, tau2, latent_jitter=self.jitter_ratio * s2)
 
-    @classmethod
-    def from_log_vector(cls, vec, jitter_ratio: float = DEFAULT_JITTER_RATIO) -> "KernelParams":
-        s2, ell, tau2 = np.exp(np.asarray(vec, dtype=float).reshape(-1))
-        return cls(s2, ell, tau2, latent_jitter=jitter_ratio * s2)
-
 
 def _as_point(x, name: str) -> np.ndarray:
     a = np.atleast_1d(np.asarray(x, dtype=float))

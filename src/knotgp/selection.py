@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import full_gp
 from .adadelta import OptimizerConfig, maximize
@@ -213,7 +213,9 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
         shift = pred.latent_mean - best - xi
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(sd > 0.0, shift / sd, 0.0)
-        ei = np.where(sd > 0.0, shift * norm.cdf(z) + sd * norm.pdf(z),
+        # the standard normal density, written as scipy.stats.norm.pdf evaluates it
+        pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+        ei = np.where(sd > 0.0, shift * ndtr(z) + sd * pdf,
                       np.maximum(shift, 0.0))
         pick = remaining[int(np.argmax(ei))]      # argmax takes the lowest index on ties
         probed.append(int(pick))

@@ -33,8 +33,9 @@ from knotgp import (Approximation, KernelParams, elbo, elbo_grad, fic_log_margin
                     simultaneous_optimize)
 from knotgp.adadelta import OptimizerConfig
 from knotgp.bench import (ExperimentConfig, RosterEntry, load_csv, run_experiment,
-                          spike_demo, split_and_standardize)
+                          split_and_standardize)
 from knotgp.cli import main as cli_main
+from knotgp.demos import spike_demo
 from knotgp.selection import OATConfig
 
 from oracles import (central_difference, dense_elbo, dense_fic_log_marginal,

@@ -1,16 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import knotgp
 from knotgp import KernelParams
 from knotgp.adadelta import OptimizerConfig
 from knotgp.bench import (Dataset, ExperimentConfig, RosterEntry, Table,
                           emit_results, load_csv, run_experiment,
-                          split_and_standardize, spike_demo, synth_demo)
+                          split_and_standardize)
 from knotgp.common import PredictiveDistribution
+from knotgp.demos import spike_demo, synth_demo
 from knotgp.selection import OATConfig
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_csv(path: Path, header, rows):
@@ -201,6 +209,49 @@ class TestExperimentConfig:
         assert config.filter_rules == [("y", "!=", 50.0)]
         assert config.model_roster[1].knot_selection == "OAT-BO"
 
+    def test_unknown_key_rejected(self):
+        raw = {"dataset_path": "d.csv", "predictor_columns": ["a"], "target_column": "y"}
+        with pytest.raises(TypeError, match="n_run"):
+            ExperimentConfig.from_dict({**raw, "n_run": 2})
+        with pytest.raises(TypeError, match="max_knot"):
+            ExperimentConfig.from_dict({**raw, "oat": {"max_knot": 10}})
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_loads_intact(self, path):
+        raw = json.loads(path.read_text())
+        config = ExperimentConfig.from_dict(raw)
+        for key, value in raw.items():
+            loaded = getattr(config, key)
+            if key == "filter_rules":
+                assert [list(rule) for rule in loaded] == value
+            elif key == "model_roster":
+                assert [{name: getattr(entry, name) for name in spec}
+                        for entry, spec in zip(loaded, value)] == value
+                assert len(loaded) == len(value)
+            elif isinstance(value, dict):
+                assert {name: getattr(loaded, name) for name in value} == value
+            else:
+                assert loaded == value
+        assert config.oat.rng_seed == raw["rng_seed"]
+
+    @pytest.mark.parametrize("approximation", ["VFE", "FIC"])
+    def test_no_knot_selection_needs_full_gp(self, approximation):
+        with pytest.raises(ValueError, match="'none'"):
+            RosterEntry("m", "none", approximation)
+
+    @pytest.mark.parametrize("selection, approximation",
+                             [("OAT-BO", "VFE"), ("OAT-RS", "FIC"), ("none", "FullGP")])
+    def test_knot_init_only_for_simult(self, selection, approximation):
+        with pytest.raises(ValueError, match="knot_init"):
+            RosterEntry("m", selection, approximation, "from-model:OBVk")
+
+    def test_start_from_full_gp_rejected(self):
+        with pytest.raises(ValueError, match="earlier sparse roster entry"):
+            ExperimentConfig("d.csv", ["a"], "y", model_roster=[
+                RosterEntry("FGP", "none", "FullGP"),
+                RosterEntry("SVO", "Simult", "VFE", "from-model:FGP"),
+            ])
+
 
 @pytest.fixture(scope="module")
 def experiment(tmp_path_factory):
@@ -346,3 +397,13 @@ class TestDemos:
         assert (tmp_path / "synth_trace.json").exists()
         refined = result["refinement"]
         assert refined.fun >= result["oat_model"].objective() - 1e-10
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second and 40 MB to import, and nothing needs it
+    src = str(Path(knotgp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, knotgp.bench, knotgp.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from knotgp import bench
 from knotgp.cli import main
 
 
@@ -47,6 +48,26 @@ def test_fit_subcommand(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert {"objective", "mnlp", "srmse", "knots", "params"} <= set(report)
     assert (tmp_path / "fit-out" / "fit.json").exists()
+
+
+def test_fit_uses_experiment_run_zero_split(tmp_path, monkeypatch):
+    roster = [{"model_id": "ORVk", "knot_selection": "OAT-RS", "approximation": "VFE"}]
+    config = _write_config(tmp_path, roster, n_runs=2)
+    seen = []
+    split = bench.split_and_standardize
+
+    def recording(*args, **kwargs):
+        dataset = split(*args, **kwargs)
+        seen.append(dataset.train_indices)
+        return dataset
+
+    monkeypatch.setattr(bench, "split_and_standardize", recording)
+    assert main(["experiment", "--config", str(config), "--max-knots", "4"]) == 0
+    assert main(["fit", "--config", str(config), "--proposal", "rs",
+                 "--max-knots", "4"]) == 0
+    assert len(seen) == 3               # two experiment runs, then fit
+    np.testing.assert_array_equal(seen[2], seen[0])
+    assert not np.array_equal(seen[1], seen[0])
 
 
 def test_experiment_subcommand(tmp_path):

@@ -63,8 +63,13 @@ class TestCholLower:
                                    rtol=0.0, atol=1e-12 * np.max(np.abs(a)))
 
     def test_escalations_exhausted(self):
-        diagnostics = {}
-        with pytest.raises(NumericalError) as info:
-            chol_lower(np.diag([1.0, -1.0]), escalations=2, diagnostics=diagnostics)
-        assert diagnostics["near_singular_factorizations"] == 3
-        assert info.value.attempted_jitter > 0.0
+        # the error carries the ridge of the last attempt: none without
+        # escalation, else 1e-12 (the mean diagonal is 0, so the scale is 1)
+        # grown a hundredfold per further retry
+        for escalations, last_ridge in [(0, 0.0), (2, 1e-10)]:
+            diagnostics = {}
+            with pytest.raises(NumericalError) as info:
+                chol_lower(np.diag([1.0, -1.0]), escalations=escalations,
+                           diagnostics=diagnostics)
+            assert diagnostics["near_singular_factorizations"] == escalations + 1
+            assert info.value.attempted_jitter == last_ridge
