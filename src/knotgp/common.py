@@ -59,12 +59,12 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
     retries are exhausted.
     """
     sym = 0.5 * (matrix + matrix.T)
-    if not np.all(np.isfinite(sym)):
+    if not np.isfinite(sym).all():
         raise ValueError(f"{label} contains non-finite entries")
     ridge = 0.0
     for attempt in range(escalations + 1):
         if attempt == 1:
-            scale = float(np.mean(np.diag(sym)))
+            scale = float(sym.diagonal().mean())
             if not np.isfinite(scale) or scale <= 0.0:
                 scale = 1.0
             ridge = 1e-12 * scale

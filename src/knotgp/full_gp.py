@@ -5,11 +5,22 @@ reference against which the sparse approximations are checked (objective
 lower bounds, predictive divergences). All solves go through a Cholesky
 factor of ``Sigma_xx + (tau2 + jitter) I``. Only the gradient of the log
 marginal likelihood, which needs the full inverse, forms it, from that factor
-with one LAPACK ``potri``.
+with one LAPACK ``potri`` whose lower triangle is mirrored through a cached
+mask.
+
+The hyperparameter search behind the BO surrogate and the FullGP roster
+entry evaluates in a lean path: the inputs are validated and ``-d2 / 2``
+formed once, and each step is one ``exp``, the noise diagonal added in
+place, one factorization, two triangular solves and one ``potri``, with no
+model object built. It shares :func:`_kernel` and :func:`_factorize` with
+:func:`fit_full`, and :func:`_log_density_and_grad` with
+:func:`log_marginal_likelihood`, so its values are those of the public pair
+to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +63,19 @@ def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _factorize(d2: np.ndarray, resid: np.ndarray, params: KernelParams):
-    """Kernel matrix, Cholesky factor of the noisy training covariance and
-    ``alpha``, from the training inputs' squared distances and the centered
-    targets, which must already be validated."""
-    kmat = params.signal_variance * np.exp(-0.5 * d2 / params.lengthscale ** 2)
+def _kernel(neg_half_d2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """``s2 * exp(-d2 / (2 ell^2))`` from ``-d2 / 2``, in one new array."""
+    kmat = neg_half_d2 / params.lengthscale ** 2
+    np.exp(kmat, out=kmat)
+    kmat *= params.signal_variance
+    return kmat
+
+
+def _factorize(kmat: np.ndarray, resid: np.ndarray, params: KernelParams):
+    """Cholesky factor of the noisy training covariance and ``alpha``, from the
+    kernel matrix and the centered targets, which must already be validated."""
     noisy = kmat.copy()
-    noisy.flat[::noisy.shape[0] + 1] += params.noise_variance + params.latent_jitter
+    noisy.reshape(-1)[::noisy.shape[0] + 1] += params.noise_variance + params.latent_jitter
     try:
         factor = chol_lower(noisy, escalations=0, label="training covariance")
     except NumericalError as err:
@@ -67,14 +84,15 @@ def _factorize(d2: np.ndarray, resid: np.ndarray, params: KernelParams):
             attempted_jitter=params.latent_jitter,
         ) from err
     alpha = tri_solve(factor, tri_solve(factor, resid), trans=True)
-    return kmat, factor, alpha
+    return factor, alpha
 
 
 def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPModel:
     """Fit an exact GP by factorizing the noisy training covariance."""
     x, y = _training_data(x, y)
     d2 = squared_distances(x, x)
-    kmat, factor, alpha = _factorize(d2, y - mean_constant, params)
+    kmat = _kernel(-0.5 * d2, params)
+    factor, alpha = _factorize(kmat, y - mean_constant, params)
     return FullGPModel(params, x, y, float(mean_constant), factor, alpha, kmat, d2)
 
 
@@ -86,17 +104,19 @@ def fit_hyperparameters(x, y, init_params: KernelParams,
 
     The inputs are validated and their squared distances computed once for
     the whole search; the jitter keeps its ratio to the signal variance.
-    Returns the model refitted at the best parameters seen, and the
-    optimizer's result.
+    Each evaluation runs the same arithmetic as :func:`fit_full` followed by
+    :func:`log_marginal_likelihood`, without building a model. Returns the
+    model refitted at the best parameters seen, and the optimizer's result.
     """
     x, y = _training_data(x, y)
     d2 = squared_distances(x, x)
+    neg_half_d2 = -0.5 * d2
 
     def objective(vec):
         params = init_params.with_log_vector(vec)
-        kmat, factor, alpha = _factorize(d2, y, params)
-        model = FullGPModel(params, x, y, 0.0, factor, alpha, kmat, d2)
-        return log_marginal_likelihood(model, with_grad=True)
+        kmat = _kernel(neg_half_d2, params)
+        factor, alpha = _factorize(kmat, y, params)
+        return _log_density_and_grad(factor, alpha, y, kmat, d2, params, True)
 
     result = maximize(objective, init_params.log_vector(), optimizer_config)
     return fit_full(x, y, init_params.with_log_vector(result.x)), result
@@ -109,25 +129,41 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
     (log s2, log ell, log tau2). The jitter is tied to the signal variance
     (fixed ratio), so its contribution rides along with the log-s2 direction.
     """
-    n = model.n_train
-    resid = model.train_targets - model.mean_constant
-    value = -0.5 * (n * LOG_2PI + 2.0 * np.sum(np.log(np.diag(model.chol)))
-                    + float(resid @ model.alpha))
+    return _log_density_and_grad(model.chol, model.alpha,
+                                 model.train_targets - model.mean_constant,
+                                 model.kernel_matrix, model.sqdist, model.params, with_grad)
+
+
+@functools.lru_cache(maxsize=8)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only mask of the strict upper triangle of an n x n matrix."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _log_density_and_grad(chol, alpha, resid, kmat, d2, params: KernelParams,
+                          with_grad: bool):
+    """:func:`log_marginal_likelihood` from the parts of a fitted model; reads
+    only the lower triangle of ``chol``."""
+    n = resid.size
+    value = float(-0.5 * (n * LOG_2PI + 2.0 * np.log(chol.diagonal()).sum()
+                          + resid @ alpha))
     if not with_grad:
-        return float(value)
-    params = model.params
-    inverse, info = dpotri(model.chol, lower=1)
+        return value
+    inverse, info = dpotri(chol, lower=1)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
     # potri fills the lower triangle; the upper one is mirrored from it
-    inverse = np.where(np.tri(n, dtype=bool), inverse, inverse.T)
-    weight = np.outer(model.alpha, model.alpha) - inverse
-    trace = float(np.trace(weight))
-    weight *= model.kernel_matrix
-    d_log_s2 = 0.5 * (np.sum(weight) + params.latent_jitter * trace)
-    d_log_ell = 0.5 * np.vdot(weight, model.sqdist) / params.lengthscale ** 2
+    np.copyto(inverse, inverse.T, where=_strict_upper(n))
+    weight = alpha[:, None] * alpha
+    weight -= inverse
+    trace = float(weight.trace())
+    weight *= kmat
+    d_log_s2 = 0.5 * (weight.sum() + params.latent_jitter * trace)
+    d_log_ell = 0.5 * np.vdot(weight, d2) / params.lengthscale ** 2
     d_log_tau2 = 0.5 * trace * params.noise_variance
-    return float(value), np.array([d_log_s2, d_log_ell, d_log_tau2])
+    return value, np.array([d_log_s2, d_log_ell, d_log_tau2])
 
 
 def predict_full(model: FullGPModel, test_inputs) -> PredictiveDistribution:

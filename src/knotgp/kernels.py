@@ -16,6 +16,7 @@ cancellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +42,15 @@ class KernelParams:
     latent_jitter: float | None = None
 
     def __post_init__(self):
-        if self.latent_jitter is None:
-            object.__setattr__(self, "latent_jitter",
-                               DEFAULT_JITTER_RATIO * float(self.signal_variance))
+        # math.isfinite on Python floats: this runs on every optimizer evaluation
         for name in ("signal_variance", "lengthscale", "noise_variance"):
             value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
+            if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
             object.__setattr__(self, name, value)
-        jitter = float(self.latent_jitter)
-        if not np.isfinite(jitter) or jitter < 0.0:
+        jitter = self.latent_jitter
+        jitter = DEFAULT_JITTER_RATIO * self.signal_variance if jitter is None else float(jitter)
+        if not math.isfinite(jitter) or jitter < 0.0:
             raise ValueError(f"latent_jitter must be finite and nonnegative, got {jitter}")
         object.__setattr__(self, "latent_jitter", jitter)
 
@@ -67,7 +67,7 @@ class KernelParams:
         vec = np.asarray(vec, dtype=float).reshape(-1)
         if vec.size != 3:
             raise ValueError(f"log vector must have length 3, got {vec.size}")
-        s2, ell, tau2 = np.exp(vec)
+        s2, ell, tau2 = np.exp(vec).tolist()
         return KernelParams(s2, ell, tau2, latent_jitter=self.jitter_ratio * s2)
 
 
@@ -88,10 +88,20 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_input_matrix(a, "first input matrix")
     b = as_input_matrix(b, "second input matrix")
     _check_same_dim(a, b)
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d2 = aa - 2.0 * (a @ b.T) + bb
-    return np.maximum(d2, 0.0)
+    return _squared_distances(a, b, _row_norms(b))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of an (n, d) array."""
+    return (a * a).sum(axis=1)
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """:func:`squared_distances` for finite float matrices of equal width,
+    given ``b``'s :func:`_row_norms`; makes no checks, so a caller that
+    reuses ``b`` can validate it and compute its norms once."""
+    d2 = _row_norms(a)[:, None] - 2.0 * (a @ b.T) + b_sq[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kernel_eval(a, b, params: KernelParams) -> float:

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 from . import full_gp
 from .adadelta import OptimizerConfig, maximize
 from .common import NumericalError, as_input_matrix, as_vector
-from .kernels import KernelParams, squared_distances
+from .kernels import KernelParams, _row_norms, _squared_distances, squared_distances
 from .sparse_gp import Approximation, SparseGPModel
 
 logger = logging.getLogger(__name__)
@@ -235,37 +235,36 @@ def _optimize_params_and_knot(objective: str, x, y, params: KernelParams,
     """Ascent over the covariance parameters and, optionally, one knot.
 
     ``x`` and ``y`` must already be validated. The frozen knots' squared
-    distances are computed once; each evaluation recomputes only the active
-    knot's row and column and checks only that knot's coordinates.
+    distances are computed once, into buffers that each evaluation updates
+    in place: only the active knot's row and column are recomputed, and only
+    that knot's coordinates are checked.
     """
     approx = _OBJECTIVE_APPROX[objective]
-    knots_fixed = knots.copy()
-    d2_uu_fixed = squared_distances(knots_fixed, knots_fixed)
-    d2_ux_fixed = squared_distances(knots_fixed, x)
-    x_sq = np.sum(x * x, axis=1)
+    kn = knots.copy()
+    d2_uu = squared_distances(kn, kn)
+    d2_ux = squared_distances(kn, x)
+    x_sq = _row_norms(x)
+    init = params.log_vector()
+    if active_index is not None:
+        init = np.concatenate([init, kn[active_index]])
 
     def fg(vec):
         p = params.with_log_vector(vec[:3])
-        kn, d2_uu, d2_ux = knots_fixed, d2_uu_fixed, d2_ux_fixed
         if active_index is not None:
             loc = vec[3:]
-            if not np.all(np.isfinite(loc)):
+            if not np.isfinite(loc).all():
                 raise ValueError("knot locations contains non-finite entries")
-            kn, d2_uu, d2_ux = kn.copy(), d2_uu.copy(), d2_ux.copy()
             kn[active_index] = loc
-            row = np.maximum(loc @ loc - 2.0 * (kn @ loc) + np.sum(kn * kn, axis=1), 0.0)
+            row = np.maximum(loc @ loc - 2.0 * (kn @ loc) + _row_norms(kn), 0.0)
             d2_uu[active_index] = d2_uu[:, active_index] = row
             d2_ux[active_index] = np.maximum(loc @ loc - 2.0 * (x @ loc) + x_sq, 0.0)
         model = SparseGPModel._from_distances(approx, x, y, p, kn, d2_uu, d2_ux,
                                               mean_constant)
         return model.objective_grad(active_knot_index=active_index)
 
-    init = params.log_vector()
-    if active_index is not None:
-        init = np.concatenate([init, knots_fixed[active_index]])
     res = maximize(fg, init, optimizer_config)
     best_params = params.with_log_vector(res.x[:3])
-    best_knots = knots_fixed.copy()
+    best_knots = knots.copy()
     if active_index is not None:
         best_knots[active_index] = res.x[3:]
     model = _build_model(objective, x, y, best_params, best_knots, mean_constant)
@@ -346,18 +345,30 @@ def simultaneous_optimize(x, y, init_params: KernelParams, init_knots,
 
     Returns (model, MaximizeResult); the model is rebuilt at the best-seen
     point, so refinement never reports worse than its starting objective.
+    The inputs are validated once; each evaluation checks only that the
+    knots are finite and builds its model from their squared distances.
     """
     x = as_input_matrix(x, "training inputs")
     y = as_vector(y, "training targets")
     knots0 = as_input_matrix(init_knots, "initial knots")
     if optimizer_config is None:
         optimizer_config = OptimizerConfig()
+    if x.shape[0] != y.size:
+        raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
     k, d = knots0.shape
+    if d != x.shape[1]:
+        raise ValueError(f"knot dimension {d} does not match input dimension {x.shape[1]}")
+    approx = _OBJECTIVE_APPROX[objective]
+    x_sq = _row_norms(x)
 
     def fg(vec):
         p = init_params.with_log_vector(vec[:3])
         kn = vec[3:].reshape(k, d)
-        model = _build_model(objective, x, y, p, kn, mean_constant)
+        if not np.isfinite(kn).all():
+            raise ValueError("knot locations contains non-finite entries")
+        model = SparseGPModel._from_distances(
+            approx, x, y, p, kn, _squared_distances(kn, kn, _row_norms(kn)),
+            _squared_distances(kn, x, x_sq), mean_constant)
         return model.objective_grad(all_knots=True)
 
     init = np.concatenate([init_params.log_vector(), knots0.reshape(-1)])

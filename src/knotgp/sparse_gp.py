@@ -130,8 +130,11 @@ def _whiten(d2_uu, d2_ux, params: KernelParams, diagnostics: dict | None):
     s2, ell2 = params.signal_variance, params.lengthscale ** 2
     kuu = s2 * np.exp(-0.5 * d2_uu / ell2)
     s = s2 * np.exp(-0.5 * d2_ux / ell2)
-    luu = chol_lower(kuu + params.latent_jitter * np.eye(kuu.shape[0]), escalations=3,
-                     diagnostics=diagnostics, label="knot covariance")
+    # kuu has no negative zeros, so adding the jitter to its diagonal in place
+    # gives the same bits as adding jitter * I
+    suu = kuu.copy()
+    suu.reshape(-1)[::suu.shape[0] + 1] += params.latent_jitter
+    luu = chol_lower(suu, escalations=3, diagnostics=diagnostics, label="knot covariance")
     return kuu, s, luu, tri_solve(luu, s)
 
 
@@ -203,12 +206,12 @@ class SparseGPModel:
 
         if self.approx is Approximation.DTC:
             gram = v @ v.T
-            self._psi_sum = float(np.trace(gram))
+            self._psi_sum = float(gram.trace())
             self._lam = np.full(v.shape[1], tau2)
             self._q = gram / tau2
         else:
             psi = np.einsum("kn,kn->n", v, v)
-            self._psi_sum = float(np.sum(psi))
+            self._psi_sum = float(psi.sum())
             # diag(Sigma_xx - Psi_xx); tiny negative round-off is clipped
             self._lam = np.maximum(s2 + jitter - psi, 0.0) + tau2
             self._q = (v / self._lam) @ v.T
@@ -232,7 +235,7 @@ class SparseGPModel:
 
     def _log_density(self) -> float:
         # log N(y; m, V^T V + diag(lam)) via the whitened K x K system
-        logdet = np.sum(np.log(self._lam)) + 2.0 * np.sum(np.log(np.diag(self._lb)))
+        logdet = np.log(self._lam).sum() + 2.0 * np.log(self._lb.diagonal()).sum()
         quad = float(self._resid @ self._alpha)
         return -0.5 * (self.n_train * LOG_2PI + logdet + quad)
 
@@ -292,16 +295,16 @@ class SparseGPModel:
 
         adjoint = self._dtc_adjoint if self.approx is Approximation.DTC else self._fic_adjoint
         grad_params, grad_uu, grad_s_rows = adjoint(rows)
-        grad = list(grad_params)
+        grad = np.array(grad_params, dtype=float)
         if rows is not None:
             # d S_kn / d u_k = S_kn (x_n - u_k) / ell2, and likewise for Suu
             u, ell2 = self.knots.locations, self.params.lengthscale ** 2
             gs = grad_s_rows * self._s[rows]
             gk = grad_uu[rows] * self._kuu[rows]
-            step = (gs @ self.x - np.sum(gs, axis=1)[:, None] * u[rows]
-                    + 2.0 * (gk @ u - np.sum(gk, axis=1)[:, None] * u[rows])) / ell2
-            grad.extend(step.reshape(-1))
-        return self.objective(), np.asarray(grad, dtype=float)
+            step = (gs @ self.x - gs.sum(axis=1)[:, None] * u[rows]
+                    + 2.0 * (gk @ u - gk.sum(axis=1)[:, None] * u[rows])) / ell2
+            grad = np.concatenate([grad, step.reshape(-1)])
+        return self.objective(), grad
 
     def _b_inverse(self) -> np.ndarray:
         """B~^{-1}, which is well conditioned: its eigenvalues lie in (0, 1]."""
@@ -327,24 +330,24 @@ class SparseGPModel:
         k = v.shape[0]
 
         e = np.eye(k) - self._b_inverse()
-        tr_e = float(np.trace(e))
+        tr_e = float(e.trace())
         va = v @ alpha
         g = tri_solve(luu, va, trans=True)
         le = tri_solve(luu, e, trans=True)
         # B~ - 2I + B~^{-1} = F^T F with F = L_B^{-1} (B~ - I)
         h = tri_solve(luu, tri_solve(self._lb, self._q).T, trans=True)
-        grad_uu = -0.5 * (h @ h.T + np.outer(g, g))
+        grad_uu = -0.5 * (h @ h.T + g[:, None] * g)
 
         penalty = self.trace_penalty()
         w = self._s * self._d2_ux
-        grad_s_dot_w = g @ (w @ alpha) + np.sum(le * (w @ v.T)) / tau2
+        grad_s_dot_w = g @ (w @ alpha) + (le * (w @ v.T)).sum() / tau2
         d_log_s2 = 0.5 * float(va @ va) - 0.5 * tr_e - penalty
-        d_log_ell = (np.sum(grad_uu * (self._kuu * self._d2_uu)) + grad_s_dot_w) / ell2
+        d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
         d_log_tau2 = -0.5 * (self.n_train - tr_e) + 0.5 * tau2 * float(alpha @ alpha) + penalty
 
         grad_s_rows = None
         if rows is not None:
-            grad_s_rows = np.outer(g[rows], alpha) + (le[rows] @ v) / tau2
+            grad_s_rows = g[rows, None] * alpha + (le[rows] @ v) / tau2
         return (d_log_s2, d_log_ell, d_log_tau2), grad_uu, grad_s_rows
 
     def _fic_adjoint(self, rows):
@@ -368,23 +371,23 @@ class SparseGPModel:
         bv = binv @ v
         sbs = np.einsum("kn,kn->n", v, bv)                      # (S^T B^{-1} S)_ii
         lam_bar = -0.5 * ((1.0 - sbs / lam) / lam - alpha ** 2)
-        sum_lam_bar = float(np.sum(lam_bar))
+        sum_lam_bar = float(lam_bar.sum())
         va = v @ alpha
         g = tri_solve(luu, va, trans=True)
         v_lam_bar = v * lam_bar
-        r = np.outer(va, alpha) - bv / lam - 2.0 * v_lam_bar
+        r = va[:, None] * alpha - bv / lam - 2.0 * v_lam_bar
         m = 0.5 * (np.eye(k) - binv) + v_lam_bar @ v.T
         grad_uu = tri_solve(luu, tri_solve(luu, m, trans=True).T, trans=True) \
-            - 0.5 * np.outer(g, g)
+            - 0.5 * (g[:, None] * g)
         grad_uu = 0.5 * (grad_uu + grad_uu.T)
 
         # contractions with Suu = L L^T and S = L V, then with Kuu * D2 and W
         w = self._s * self._d2_ux
-        grad_s_dot_w = np.trace(tri_solve(luu, r @ w.T, trans=True))
+        grad_s_dot_w = tri_solve(luu, r @ w.T, trans=True).trace()
         # lam_i = (s2 + jitter) + tau2 - psi_i
-        d_log_s2 = (np.trace(m) - 0.5 * float(va @ va) + np.sum(r * v)
+        d_log_s2 = (m.trace() - 0.5 * float(va @ va) + (r * v).sum()
                     + sum_lam_bar * (s2 + jitter))
-        d_log_ell = (np.sum(grad_uu * (self._kuu * self._d2_uu)) + grad_s_dot_w) / ell2
+        d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
         d_log_tau2 = sum_lam_bar * tau2
 
         grad_s_rows = None

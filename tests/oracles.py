@@ -192,3 +192,39 @@ def random_instance(rng, n, k, d, jitter_ratio=1e-8, spread=1.5):
         latent_jitter=jitter_ratio * s2,
     )
     return x, y, knots, params
+
+
+def reference_maximize(objective_with_grad, init, config):
+    """ADADELTA ascent as a plain loop over the public, validating
+    ``adadelta_step``: the slow reference for ``adadelta.maximize``, with the
+    same stopping rules and best-seen bookkeeping."""
+    from knotgp.adadelta import MaximizeResult, OptimState, adadelta_step
+    from knotgp.common import NumericalError
+
+    x = np.asarray(init, dtype=float).copy()
+    value, grad = objective_with_grad(x)
+    if not np.isfinite(value):
+        raise ValueError(f"objective is non-finite at the initial point: {value}")
+    trace = [float(value)]
+    best_x, best_f = x.copy(), float(value)
+    state = OptimState.zeros(x.size)
+    stop_reason = "max_steps"
+    for t in range(1, config.max_steps + 1):
+        try:
+            state, x = adadelta_step(state, x, grad, config)
+        except NumericalError:
+            stop_reason = "non_finite_gradient"
+            break
+        value, grad = objective_with_grad(x)
+        if not np.isfinite(value):
+            stop_reason = "non_finite_objective"
+            break
+        trace.append(float(value))
+        if value > best_f:
+            best_x, best_f = x.copy(), float(value)
+        if t >= config.patience:
+            old = trace[t - config.patience]
+            if abs(trace[t] - old) <= config.rel_tol * (abs(old) + 1.0):
+                stop_reason = "converged"
+                break
+    return MaximizeResult(best_x, best_f, np.asarray(trace), len(trace) - 1, stop_reason)

@@ -5,6 +5,8 @@ from knotgp import NumericalError
 from knotgp.adadelta import (MaximizeResult, OptimState, OptimizerConfig,
                              adadelta_step, maximize)
 
+from oracles import reference_maximize
+
 
 class TestConfig:
     def test_validation(self):
@@ -157,3 +159,80 @@ class TestMaximize:
         init = np.array([np.log(0.2)])
         res = maximize(fg, init, OptimizerConfig(max_steps=200))
         assert res.fun >= fg(init)[0]
+
+
+def _quadratic(v):
+    diff = v - np.array([0.4, -1.3, 2.0])
+    return -float(diff @ diff), -2.0 * diff
+
+
+def _gp_objective():
+    from knotgp import KernelParams, fit_full, log_marginal_likelihood
+
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((20, 2))
+    y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(20)
+    base = KernelParams(1.0, 1.0, 0.1)
+
+    def fg(v):
+        return log_marginal_likelihood(fit_full(x, y, base.with_log_vector(v)),
+                                       with_grad=True)
+    return fg
+
+
+def _non_finite_value_after(calls):
+    count = [0]
+
+    def fg(v):
+        count[0] += 1
+        if count[0] > calls:
+            return np.nan, np.zeros_like(v)
+        return _quadratic(v)
+    return fg
+
+
+def _non_finite_gradient_after(calls):
+    count = [0]
+
+    def fg(v):
+        count[0] += 1
+        value, grad = _quadratic(v)
+        if count[0] > calls:
+            grad[1] = np.inf
+        return value, grad
+    return fg
+
+
+class TestMaximizeMatchesStepLoop:
+    """``maximize`` keeps its accumulators as local arrays; it must give what
+    a plain loop over the validating ``adadelta_step`` gives, to the bit."""
+
+    @pytest.mark.parametrize("case", [
+        ("quadratic", lambda: _quadratic, np.zeros(3), OptimizerConfig(max_steps=300),
+         "max_steps"),
+        ("quadratic to convergence", lambda: _quadratic, np.zeros(3),
+         OptimizerConfig(max_steps=2000, rel_tol=1e-4), "converged"),
+        ("gp", _gp_objective, np.log([1.0, 1.0, 0.1]),
+         OptimizerConfig(max_steps=150, rel_tol=1e-4, patience=5), "max_steps"),
+        ("non-finite value", lambda: _non_finite_value_after(6), np.zeros(3),
+         OptimizerConfig(max_steps=50), "non_finite_objective"),
+        ("non-finite gradient", lambda: _non_finite_gradient_after(6), np.zeros(3),
+         OptimizerConfig(max_steps=50), "non_finite_gradient"),
+        ("patience", lambda: (lambda v: (1.0, np.zeros_like(v))), np.array([0.3, 0.1]),
+         OptimizerConfig(patience=7), "converged"),
+        ("plateau", lambda: (lambda v: (1.0, np.ones_like(v))), np.array([0.3, 0.1]),
+         OptimizerConfig(patience=7), "converged"),
+    ], ids=lambda case: case[0])
+    def test_bitwise(self, case):
+        _, make, init, config, reason = case
+        expected = reference_maximize(make(), init, config)
+        got = maximize(make(), init, config)
+        assert got.x.tobytes() == expected.x.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(expected.fun).tobytes()
+        assert got.trace.tobytes() == expected.trace.tobytes()
+        assert got.n_steps == expected.n_steps
+        assert got.stop_reason == expected.stop_reason == reason
+
+    def test_gradient_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="lengths must agree"):
+            maximize(lambda v: (0.0, np.zeros(v.size + 1)), np.zeros(2), OptimizerConfig())

@@ -129,8 +129,9 @@ class TestFitHyperparameters:
         model, result = fit_hyperparameters(x, y, init, config)
         assert result.n_steps == expected.n_steps
         assert result.stop_reason == expected.stop_reason
-        np.testing.assert_allclose(result.x, expected.x, rtol=1e-10, atol=0.0)
-        assert result.fun == pytest.approx(expected.fun, rel=1e-10)
+        assert result.x.tobytes() == expected.x.tobytes()
+        assert result.fun == expected.fun
+        assert result.trace.tobytes() == expected.trace.tobytes()
         assert model.params == init.with_log_vector(expected.x)
         refit = fit_full(x, y, model.params)
         np.testing.assert_array_equal(model.alpha, refit.alpha)

@@ -21,6 +21,31 @@ class TestKernelParams:
         moved = p.with_log_vector(np.log([8.0, 1.0, 0.1]))
         assert moved.latent_jitter == pytest.approx(8e-6)
 
+    @pytest.mark.parametrize("jitter", [None, 1e-3, 0.0])
+    def test_with_log_vector_equals_validated_constructor(self, jitter):
+        p = KernelParams(2.5, 0.7, 0.05, latent_jitter=jitter)
+        for vec in np.random.default_rng(8).normal(0.0, 3.0, (25, 3)):
+            s2, ell, tau2 = np.exp(vec)
+            expected = KernelParams(s2, ell, tau2, latent_jitter=p.jitter_ratio * s2)
+            got = p.with_log_vector(vec)
+            for name in ("signal_variance", "lengthscale", "noise_variance",
+                         "latent_jitter", "jitter_ratio"):
+                assert type(getattr(got, name)) is float
+                assert getattr(got, name).hex() == getattr(expected, name).hex(), name
+
+    @pytest.mark.parametrize("vec, bad", [([800.0, 0.0, 0.0], 0), ([0.0, -800.0, 0.0], 1)])
+    def test_with_log_vector_overflow_raises_as_the_constructor(self, vec, bad):
+        p = KernelParams(1.0, 1.0, 0.1)
+        with np.errstate(over="ignore", under="ignore"):
+            natural = np.exp(vec)
+            with pytest.raises(ValueError) as expected:
+                KernelParams(*natural, latent_jitter=p.jitter_ratio * natural[0])
+            with pytest.raises(ValueError) as got:
+                p.with_log_vector(vec)
+        assert str(got.value) == str(expected.value)
+        name = ("signal_variance", "lengthscale")[bad]
+        assert str(got.value) == f"{name} must be finite and positive, got {natural[bad]}"
+
     def test_log_vector_round_trip(self):
         p = KernelParams(2.5, 0.7, 0.05)
         q = p.with_log_vector(p.log_vector())

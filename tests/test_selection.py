@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import knotgp.selection as selection
+from knotgp import common, full_gp, kernels, sparse_gp
 from knotgp import (Approximation, KernelParams, OATConfig, SparseGPModel, fit_sparse,
                     kmeans_init, oat_select, propose_bo, propose_rs,
                     simultaneous_optimize)
@@ -187,6 +190,85 @@ class TestInnerLoopDistanceCache:
         fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:3].copy(), 2)
         with pytest.raises(ValueError, match="non-finite"):
             fg(np.concatenate([params.log_vector(), [np.nan, 0.0]]))
+
+
+    def test_reused_buffers_carry_no_state(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((60, 3))
+        y = rng.standard_normal(60)
+        params = KernelParams(1.0, 0.8, 0.1)
+        fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:5].copy(), 4)
+        v1 = np.concatenate([params.log_vector(), x[10]])
+        v2 = np.concatenate([params.log_vector() + 0.3, x[20] + 1.0])
+        first, _, third = fg(v1), fg(v2), fg(v1)
+        assert np.float64(first[0]).tobytes() == np.float64(third[0]).tobytes()
+        assert first[1].tobytes() == third[1].tobytes()
+
+
+class TestValidationOutsideTheLoop:
+    """Inputs are validated and their distances computed once per search, so
+    the number of checks does not grow with the number of evaluations."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = Counter()
+        for module in (common, kernels, sparse_gp, full_gp, selection):
+            for name in ("as_input_matrix", "squared_distances"):
+                original = module.__dict__.get(name)
+                if original is None:
+                    continue
+
+                def counted(*args, _original=original, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("search", ["fit_hyperparameters", "inner_loop", "simultaneous"])
+    def test_counts_do_not_depend_on_steps(self, monkeypatch, search):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((50, 3))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(50)
+        params = KernelParams(1.0, 1.0, 0.1)
+        knots = x[:4] + 0.1
+
+        def run(config):
+            if search == "fit_hyperparameters":
+                return full_gp.fit_hyperparameters(x[:29], y[:29], params, config)[1]
+            if search == "inner_loop":
+                return selection._optimize_params_and_knot("vfe", x, y, params, knots, 3,
+                                                           config, 0.0)[1]
+            return simultaneous_optimize(x, y, params, knots, "vfe", config)[1]
+
+        counts = self._count(monkeypatch)
+        seen = []
+        for steps in (3, 30):
+            counts.clear()
+            result = run(OptimizerConfig(max_steps=steps, rel_tol=1e-15))
+            assert result.n_steps == steps
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["as_input_matrix"] >= 1
+
+    def test_simultaneous_evaluation_rejects_non_finite_knots(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((30, 2))
+        y = rng.standard_normal(30)
+        params = KernelParams(1.0, 1.0, 0.1)
+        captured = []
+
+        def spy(fg, init, config):
+            captured.append((fg, init))
+            return maximize(fg, init, OptimizerConfig(max_steps=1))
+
+        monkeypatch.setattr(selection, "maximize", spy)
+        simultaneous_optimize(x, y, params, x[:3].copy(), "vfe")
+        fg, init = captured[0]
+        bad = init.copy()
+        bad[-1] = np.inf
+        with pytest.raises(ValueError, match="knot locations contains non-finite entries"):
+            fg(bad)
 
 
 class TestOatSelect:
