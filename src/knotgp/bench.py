@@ -136,7 +136,8 @@ def split_and_standardize(table: Table, predictor_columns, target_column,
     rng = np.random.default_rng(run_seed)
     perm = rng.permutation(n)
     n_train = int(round(fraction * n))
-    if n_train < 2 or n - n_train < 1:
+    # srmse needs two test rows
+    if n_train < 2 or n - n_train < 2:
         raise ValueError(f"split fraction {fraction} leaves too few rows on one side")
     train_idx, test_idx = perm[:n_train], perm[n_train:]
 

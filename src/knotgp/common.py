@@ -44,6 +44,15 @@ def as_vector(y, name: str = "targets") -> np.ndarray:
     return a
 
 
+def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Training inputs as an (n, d) matrix and targets as an n-vector."""
+    x = as_input_matrix(x, "training inputs")
+    y = as_vector(y, "training targets")
+    if x.shape[0] != y.size:
+        raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
+    return x, y
+
+
 def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | None = None,
                label: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a symmetric PSD matrix.
@@ -123,3 +132,17 @@ class PredictiveDistribution:
 
     def __len__(self) -> int:
         return self.latent_mean.size
+
+
+def _clamped_prediction(mean: np.ndarray, latent_variance: np.ndarray,
+                        noise_variance: float, diagnostics: dict) -> PredictiveDistribution:
+    """Predictive moments with negative round-off latent variances clamped at
+    zero; the number clamped is added to
+    ``diagnostics['negative_variance_clamps']``."""
+    clamps = int(np.sum(latent_variance < 0.0))
+    if clamps:
+        diagnostics["negative_variance_clamps"] = (
+            diagnostics.get("negative_variance_clamps", 0) + clamps
+        )
+        latent_variance = np.maximum(latent_variance, 0.0)
+    return PredictiveDistribution(mean, latent_variance, latent_variance + noise_variance)

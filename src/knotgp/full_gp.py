@@ -9,13 +9,13 @@ with one LAPACK ``potri`` whose lower triangle is mirrored through a cached
 mask.
 
 The hyperparameter search behind the BO surrogate and the FullGP roster
-entry evaluates in a lean path: the inputs are validated and ``-d2 / 2``
-formed once, and each step is one ``exp``, the noise diagonal added in
-place, one factorization, two triangular solves and one ``potri``, with no
-model object built. It shares :func:`_kernel` and :func:`_factorize` with
-:func:`fit_full`, and :func:`_log_density_and_grad` with
-:func:`log_marginal_likelihood`, so its values are those of the public pair
-to the bit.
+entry evaluates in a lean path: the inputs are validated and their squared
+distances formed once, and each step is one kernel matrix from
+``kernels._kernel``, the noise diagonal added in place, one factorization,
+two triangular solves and one ``potri``, with no model object built. It
+shares :func:`_factorize` with :func:`fit_full`, and
+:func:`_log_density_and_grad` with :func:`log_marginal_likelihood`, so its
+values are those of the public pair to the bit.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotri
 
 from .adadelta import MaximizeResult, OptimizerConfig, maximize
-from .common import (LOG_2PI, NumericalError, PredictiveDistribution,
-                     as_input_matrix, as_vector, chol_lower, tri_solve)
-from .kernels import KernelParams, squared_distances
+from .common import (LOG_2PI, NumericalError, PredictiveDistribution, _clamped_prediction,
+                     _training_data, as_input_matrix, chol_lower, tri_solve)
+from .kernels import KernelParams, _kernel, squared_distances
 
 
 @dataclass
@@ -55,22 +55,6 @@ class FullGPModel:
         return self.train_inputs.shape[0]
 
 
-def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = as_input_matrix(x, "training inputs")
-    y = as_vector(y, "training targets")
-    if x.shape[0] != y.size:
-        raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
-    return x, y
-
-
-def _kernel(neg_half_d2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """``s2 * exp(-d2 / (2 ell^2))`` from ``-d2 / 2``, in one new array."""
-    kmat = neg_half_d2 / params.lengthscale ** 2
-    np.exp(kmat, out=kmat)
-    kmat *= params.signal_variance
-    return kmat
-
-
 def _factorize(kmat: np.ndarray, resid: np.ndarray, params: KernelParams):
     """Cholesky factor of the noisy training covariance and ``alpha``, from the
     kernel matrix and the centered targets, which must already be validated."""
@@ -91,7 +75,7 @@ def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPMo
     """Fit an exact GP by factorizing the noisy training covariance."""
     x, y = _training_data(x, y)
     d2 = squared_distances(x, x)
-    kmat = _kernel(-0.5 * d2, params)
+    kmat = _kernel(d2, params)
     factor, alpha = _factorize(kmat, y - mean_constant, params)
     return FullGPModel(params, x, y, float(mean_constant), factor, alpha, kmat, d2)
 
@@ -110,11 +94,10 @@ def fit_hyperparameters(x, y, init_params: KernelParams,
     """
     x, y = _training_data(x, y)
     d2 = squared_distances(x, x)
-    neg_half_d2 = -0.5 * d2
 
     def objective(vec):
         params = init_params.with_log_vector(vec)
-        kmat = _kernel(neg_half_d2, params)
+        kmat = _kernel(d2, params)
         factor, alpha = _factorize(kmat, y, params)
         return _log_density_and_grad(factor, alpha, y, kmat, d2, params, True)
 
@@ -179,16 +162,9 @@ def predict_full(model: FullGPModel, test_inputs) -> PredictiveDistribution:
             f"training dimension {model.train_inputs.shape[1]}"
         )
     params = model.params
-    d2 = squared_distances(model.train_inputs, xt)
-    cross = params.signal_variance * np.exp(-0.5 * d2 / params.lengthscale ** 2)
+    cross = _kernel(squared_distances(model.train_inputs, xt), params)
     mean = model.mean_constant + cross.T @ model.alpha
     half = tri_solve(model.chol, cross)
     prior_var = params.signal_variance + params.latent_jitter
     var = prior_var - np.einsum("nj,nj->j", half, half)
-    clamps = int(np.sum(var < 0.0))
-    if clamps:
-        model.diagnostics["negative_variance_clamps"] = (
-            model.diagnostics.get("negative_variance_clamps", 0) + clamps
-        )
-        var = np.maximum(var, 0.0)
-    return PredictiveDistribution(mean, var, var + params.noise_variance)
+    return _clamped_prediction(mean, var, params.noise_variance, model.diagnostics)

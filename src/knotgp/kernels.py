@@ -11,7 +11,8 @@ knot movement, the coordinates of the second argument.
 
 Squared distances are computed through the expansion
 ``||a||^2 - 2 a.b + ||b||^2`` and clamped at zero to guard against
-cancellation.
+cancellation. Every kernel matrix in the package, sparse or exact, is formed
+from such squared distances by :func:`_kernel`.
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ def _squared_distances(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.nda
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _kernel(d2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """``s2 * exp(-d2 / (2 ell^2))`` from squared distances, in one new array."""
+    kmat = -0.5 * d2
+    kmat /= params.lengthscale ** 2
+    np.exp(kmat, out=kmat)
+    kmat *= params.signal_variance
+    return kmat
+
+
 def kernel_eval(a, b, params: KernelParams) -> float:
     """Evaluate k(a, b) for two single points."""
     a = _as_point(a, "a")
@@ -117,9 +127,7 @@ def kernel_eval(a, b, params: KernelParams) -> float:
 
 def cov_matrix(a, b, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix with (i, j) entry k(a_i, b_j). No jitter is added."""
-    d2 = squared_distances(a, b)
-    ell2 = params.lengthscale ** 2
-    return params.signal_variance * np.exp(-0.5 * d2 / ell2)
+    return _kernel(squared_distances(a, b), params)
 
 
 def kernel_grad_params(a, b, params: KernelParams) -> np.ndarray:

@@ -5,7 +5,10 @@ knot from the training-input pool (best-of-random-subset or a discrete
 Bayesian optimization over candidate gains), appends it, and gradient-ascends
 the covariance parameters together with the new knot's coordinates while all
 previous knots stay frozen. A simultaneous-refinement path optimizes every
-knot coordinate jointly for a fixed knot count.
+knot coordinate jointly for a fixed knot count. Both run through one sparse
+search, :func:`_optimize_params_and_knot`, which differs between them only in
+which knots it frees: none for the initial fit, the new knot in each round,
+or all of them.
 
 Proposals always return a member of the candidate pool; continuous movement
 of a knot happens only inside the gradient step that follows.
@@ -15,24 +18,20 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import full_gp
 from .adadelta import OptimizerConfig, maximize
-from .common import NumericalError, as_input_matrix, as_vector
-from .kernels import KernelParams, _row_norms, _squared_distances, squared_distances
-from .sparse_gp import Approximation, SparseGPModel
+from .common import NumericalError, _training_data, as_input_matrix
+from .kernels import KernelParams, _row_norms, _squared_distances
+from .sparse_gp import Approximation, SparseGPModel, _coincident, _knot_array
 
 logger = logging.getLogger(__name__)
 
 _OBJECTIVE_APPROX = {"vfe": Approximation.DTC, "fic": Approximation.FIC}
-
-# knots this close (per coordinate) to an existing knot are not conditioned on
-# by the Bayesian-optimization proposal
-COINCIDENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,15 +73,7 @@ class SelectionStep:
     accepted_location: tuple | None
 
     def to_dict(self) -> dict:
-        return {
-            "knot_count": self.knot_count,
-            "objective_before": self.objective_before,
-            "objective_after": self.objective_after,
-            "proposal_seconds": self.proposal_seconds,
-            "optimize_seconds": self.optimize_seconds,
-            "accepted_location": list(self.accepted_location)
-            if self.accepted_location is not None else None,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -95,8 +86,7 @@ class SelectionTrace:
         return np.asarray([s.objective_after for s in self.steps])
 
     def to_dict(self) -> dict:
-        return {"stopped_because": self.stopped_because,
-                "steps": [s.to_dict() for s in self.steps]}
+        return asdict(self)
 
 
 def kmeans_init(x, n_clusters: int, seed) -> np.ndarray:
@@ -114,8 +104,7 @@ def kmeans_init(x, n_clusters: int, seed) -> np.ndarray:
     centers = x[rng.choice(n, size=n_clusters, replace=False)].copy()
     assignments = None
     for _ in range(100):
-        d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * x @ centers.T
-              + np.sum(centers * centers, axis=1)[None, :])
+        d2 = _squared_distances(x, centers, _row_norms(centers))
         new_assignments = np.argmin(d2, axis=1)
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break
@@ -176,10 +165,7 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     pool = as_input_matrix(candidate_pool, "candidate pool")
     rng = np.random.default_rng(seed)
 
-    coincides = np.zeros(pool.shape[0], dtype=bool)
-    for knot in model.knots.locations:
-        coincides |= np.all(np.abs(pool - knot) <= COINCIDENCE_TOL, axis=1)
-    eligible = np.flatnonzero(~coincides)
+    eligible = np.flatnonzero(~_coincident(pool, model.knots.locations).any(axis=1))
     if eligible.size == 0:
         logger.warning("all candidates coincide with existing knots; "
                        "falling back to a full-pool random-subset proposal")
@@ -225,49 +211,52 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     return pool[best_idx].copy()
 
 
-def _build_model(objective: str, x, y, params, knots, mean_constant) -> SparseGPModel:
-    return SparseGPModel(_OBJECTIVE_APPROX[objective], x, y, params, knots, mean_constant)
-
-
 def _optimize_params_and_knot(objective: str, x, y, params: KernelParams,
-                              knots: np.ndarray, active_index: int | None,
+                              knots: np.ndarray, free: int | str | None,
                               optimizer_config: OptimizerConfig, mean_constant: float):
-    """Ascent over the covariance parameters and, optionally, one knot.
+    """Ascent over the covariance parameters and the free knots' coordinates;
+    returns (model, MaximizeResult).
 
-    ``x`` and ``y`` must already be validated. The frozen knots' squared
-    distances are computed once, into buffers that each evaluation updates
-    in place: only the active knot's row and column are recomputed, and only
-    that knot's coordinates are checked.
+    ``free`` is None (parameters only), one knot index, or ``"all"``; the
+    other knots stay where they are. ``x`` and ``y`` must already be
+    validated, and the knots finite. The knots' squared distances live in
+    buffers computed once: each evaluation checks only the free coordinates
+    and recomputes only the free knots' rows and columns. The returned model
+    is rebuilt by the public constructor at the best-seen point, so the
+    search never reports worse than its starting objective.
     """
     approx = _OBJECTIVE_APPROX[objective]
+    all_knots = free == "all"
+    active = None if all_knots else free
+    rows = slice(None) if all_knots else slice(0, 0) if free is None else slice(free, free + 1)
     kn = knots.copy()
-    d2_uu = squared_distances(kn, kn)
-    d2_ux = squared_distances(kn, x)
+    d = kn.shape[1]
     x_sq = _row_norms(x)
-    init = params.log_vector()
-    if active_index is not None:
-        init = np.concatenate([init, kn[active_index]])
+    d2_uu = _squared_distances(kn, kn, _row_norms(kn))
+    d2_ux = _squared_distances(kn, x, x_sq)
 
     def fg(vec):
         p = params.with_log_vector(vec[:3])
-        if active_index is not None:
-            loc = vec[3:]
-            if not np.isfinite(loc).all():
+        if free is not None:
+            if not np.isfinite(vec[3:]).all():
                 raise ValueError("knot locations contains non-finite entries")
-            kn[active_index] = loc
-            row = np.maximum(loc @ loc - 2.0 * (kn @ loc) + _row_norms(kn), 0.0)
-            d2_uu[active_index] = d2_uu[:, active_index] = row
-            d2_ux[active_index] = np.maximum(loc @ loc - 2.0 * (x @ loc) + x_sq, 0.0)
+            kn[rows] = vec[3:].reshape(-1, d)
+            block = _squared_distances(kn[rows], kn, _row_norms(kn))
+            # column first: with every knot free, ``block`` need not be exactly
+            # symmetric, and its rows are what a fresh build computes
+            d2_uu[:, rows] = block.T
+            d2_uu[rows] = block
+            d2_ux[rows] = _squared_distances(kn[rows], x, x_sq)
         model = SparseGPModel._from_distances(approx, x, y, p, kn, d2_uu, d2_ux,
                                               mean_constant)
-        return model.objective_grad(active_knot_index=active_index)
+        return model.objective_grad(active_knot_index=active, all_knots=all_knots)
 
+    init = np.concatenate([params.log_vector(), kn[rows].reshape(-1)])
     res = maximize(fg, init, optimizer_config)
-    best_params = params.with_log_vector(res.x[:3])
     best_knots = knots.copy()
-    if active_index is not None:
-        best_knots[active_index] = res.x[3:]
-    model = _build_model(objective, x, y, best_params, best_knots, mean_constant)
+    best_knots[rows] = res.x[3:].reshape(-1, d)
+    model = SparseGPModel(approx, x, y, params.with_log_vector(res.x[:3]), best_knots,
+                          mean_constant)
     return model, res
 
 
@@ -282,8 +271,7 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
     ``max_knots`` or when a round's improvement falls below
     ``improvement_tol * (|objective| + 1)``.
     """
-    x = as_input_matrix(x, "training inputs")
-    y = as_vector(y, "training targets")
+    x, y = _training_data(x, y)
     if optimizer_config is None:
         optimizer_config = OptimizerConfig()
     master = np.random.SeedSequence(config.rng_seed)
@@ -345,34 +333,8 @@ def simultaneous_optimize(x, y, init_params: KernelParams, init_knots,
 
     Returns (model, MaximizeResult); the model is rebuilt at the best-seen
     point, so refinement never reports worse than its starting objective.
-    The inputs are validated once; each evaluation checks only that the
-    knots are finite and builds its model from their squared distances.
     """
-    x = as_input_matrix(x, "training inputs")
-    y = as_vector(y, "training targets")
-    knots0 = as_input_matrix(init_knots, "initial knots")
-    if optimizer_config is None:
-        optimizer_config = OptimizerConfig()
-    if x.shape[0] != y.size:
-        raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
-    k, d = knots0.shape
-    if d != x.shape[1]:
-        raise ValueError(f"knot dimension {d} does not match input dimension {x.shape[1]}")
-    approx = _OBJECTIVE_APPROX[objective]
-    x_sq = _row_norms(x)
-
-    def fg(vec):
-        p = init_params.with_log_vector(vec[:3])
-        kn = vec[3:].reshape(k, d)
-        if not np.isfinite(kn).all():
-            raise ValueError("knot locations contains non-finite entries")
-        model = SparseGPModel._from_distances(
-            approx, x, y, p, kn, _squared_distances(kn, kn, _row_norms(kn)),
-            _squared_distances(kn, x, x_sq), mean_constant)
-        return model.objective_grad(all_knots=True)
-
-    init = np.concatenate([init_params.log_vector(), knots0.reshape(-1)])
-    res = maximize(fg, init, optimizer_config)
-    model = _build_model(objective, x, y, init_params.with_log_vector(res.x[:3]),
-                         res.x[3:].reshape(k, d), mean_constant)
-    return model, res
+    x, y = _training_data(x, y)
+    knots0 = _knot_array(init_knots, x)
+    return _optimize_params_and_knot(objective, x, y, init_params, knots0, "all",
+                                     optimizer_config or OptimizerConfig(), mean_constant)

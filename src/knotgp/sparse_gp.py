@@ -57,9 +57,14 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from .common import (LOG_2PI, PredictiveDistribution, as_input_matrix,
-                     as_vector, chol_lower, tri_solve)
-from .kernels import KernelParams, cov_matrix, squared_distances
+from .common import (LOG_2PI, PredictiveDistribution, _clamped_prediction,
+                     _training_data, as_input_matrix, chol_lower, tri_solve)
+from .kernels import KernelParams, _kernel, cov_matrix, squared_distances
+
+# two points closer than this in every coordinate coincide: a knot set that
+# holds such a pair has duplicates, and the Bayesian-optimization proposal
+# does not condition on a candidate that coincides with a knot
+COINCIDENCE_TOL = 1e-9
 
 
 class Approximation(enum.Enum):
@@ -94,18 +99,27 @@ class KnotSet:
 
     @property
     def has_duplicates(self) -> bool:
-        d2 = squared_distances(self.locations, self.locations)
-        np.fill_diagonal(d2, np.inf)
-        return bool(np.min(d2) < 1e-18)
+        pairs = _coincident(self.locations, self.locations)
+        np.fill_diagonal(pairs, False)
+        return bool(pairs.any())
 
     def __len__(self) -> int:
         return self.locations.shape[0]
 
 
-def _knot_array(knots) -> np.ndarray:
-    if isinstance(knots, KnotSet):
-        return knots.locations
-    return as_input_matrix(knots, "knot locations")
+def _coincident(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) mask of the row pairs of ``a`` and ``b`` that lie within
+    ``COINCIDENCE_TOL`` of each other in every coordinate."""
+    return (np.abs(a[:, None, :] - b[None, :, :]) <= COINCIDENCE_TOL).all(axis=2)
+
+
+def _knot_array(knots, x: np.ndarray) -> np.ndarray:
+    """Knot locations as a finite (K, d) matrix as wide as the inputs ``x``."""
+    u = knots.locations if isinstance(knots, KnotSet) else as_input_matrix(knots, "knot locations")
+    if u.shape[1] != x.shape[1]:
+        raise ValueError(f"knot dimension {u.shape[1]} does not match "
+                         f"input dimension {x.shape[1]}")
+    return u
 
 
 def psi_cross(x, knots, params: KernelParams, diagnostics: dict | None = None):
@@ -115,9 +129,7 @@ def psi_cross(x, knots, params: KernelParams, diagnostics: dict | None = None):
     ``V = L^{-1} cov(knots, x)``.
     """
     x = as_input_matrix(x, "inputs")
-    u = _knot_array(knots)
-    if x.shape[1] != u.shape[1]:
-        raise ValueError(f"input dimension {x.shape[1]} does not match knot dimension {u.shape[1]}")
+    u = _knot_array(knots, x)
     _, _, luu, v = _whiten(squared_distances(u, u), squared_distances(u, x), params,
                            diagnostics)
     return v, luu
@@ -127,9 +139,8 @@ def _whiten(d2_uu, d2_ux, params: KernelParams, diagnostics: dict | None):
     """(Kuu, S, L, V) from the knots' squared distances to each other and to
     the inputs: Kuu = cov(U, U), S = cov(U, X), L L^T = Kuu + jitter I and
     V = L^{-1} S."""
-    s2, ell2 = params.signal_variance, params.lengthscale ** 2
-    kuu = s2 * np.exp(-0.5 * d2_uu / ell2)
-    s = s2 * np.exp(-0.5 * d2_ux / ell2)
+    kuu = _kernel(d2_uu, params)
+    s = _kernel(d2_ux, params)
     # kuu has no negative zeros, so adding the jitter to its diagonal in place
     # gives the same bits as adding jitter * I
     suu = kuu.copy()
@@ -159,17 +170,9 @@ class SparseGPModel:
                 "only DTC and FIC models support fitting and prediction; "
                 "DIC and FITC exist solely for the prior-variance report"
             )
-        x = as_input_matrix(x, "training inputs")
-        y = as_vector(y, "training targets")
-        if x.shape[0] != y.size:
-            raise ValueError(f"row count mismatch: {x.shape[0]} inputs vs {y.size} targets")
-        knots = knots if isinstance(knots, KnotSet) else KnotSet(np.asarray(knots, dtype=float))
-        u = knots.locations
-        if u.shape[1] != x.shape[1]:
-            raise ValueError(
-                f"knot dimension {u.shape[1]} does not match "
-                f"input dimension {x.shape[1]}"
-            )
+        x, y = _training_data(x, y)
+        u = _knot_array(knots, x)
+        knots = knots if isinstance(knots, KnotSet) else KnotSet._unchecked(u)
         self._init(approx, x, y, params, knots, mean_constant,
                    squared_distances(u, u), squared_distances(u, x))
 
@@ -419,21 +422,13 @@ class SparseGPModel:
                 f"training dimension {self.x.shape[1]}"
             )
         params = self.params
-        ell2 = params.lengthscale ** 2
-        kut = params.signal_variance * np.exp(
-            -0.5 * squared_distances(self.knots.locations, xt) / ell2)
+        kut = _kernel(squared_distances(self.knots.locations, xt), params)
         vt = tri_solve(self._luu, kut)
         mean = self.mean_constant + self._c @ vt
         wt = tri_solve(self._lb, vt)
         var = (params.signal_variance + params.latent_jitter
                - np.einsum("kj,kj->j", vt, vt) + np.einsum("kj,kj->j", wt, wt))
-        clamps = int(np.sum(var < 0.0))
-        if clamps:
-            self.diagnostics["negative_variance_clamps"] = (
-                self.diagnostics.get("negative_variance_clamps", 0) + clamps
-            )
-            var = np.maximum(var, 0.0)
-        return PredictiveDistribution(mean, var, var + params.noise_variance)
+        return _clamped_prediction(mean, var, params.noise_variance, self.diagnostics)
 
 
 # -- spec-level operation wrappers -------------------------------------------
@@ -481,7 +476,7 @@ def prior_variance_report(approx: Approximation, x_train, x_test, knots,
     """
     x_train = as_input_matrix(x_train, "training inputs")
     x_test = as_input_matrix(x_test, "test inputs")
-    u = _knot_array(knots)
+    u = _knot_array(knots, x_train)
     s2 = params.signal_variance
 
     def psi(a):

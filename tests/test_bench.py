@@ -1,7 +1,10 @@
 import json
 import os
+import runpy
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from knotgp.selection import OATConfig
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DEMO_DIR = CONFIG_DIR.parent / "demos"
 
 
 def _write_csv(path: Path, header, rows):
@@ -127,6 +131,18 @@ class TestSplitAndStandardize:
         table = load_csv(path, ["a"], "y")
         with pytest.raises(ValueError, match="'a'"):
             split_and_standardize(table, ["a"], "y", 0.5, 0)
+
+    def test_one_test_row_rejected(self, tmp_path):
+        # srmse needs two test rows; at the split, not after the fits
+        path = tmp_path / "six.csv"
+        _write_csv(path, ["x1", "x2", "y"], [(i, i * i % 5, i % 3) for i in range(6)])
+        table = load_csv(path, ["x1", "x2"], "y")
+        with pytest.raises(ValueError, match="too few rows on one side"):
+            split_and_standardize(table, ["x1", "x2"], "y", 0.8, 0)
+        config = replace(_tiny_config(tmp_path, path, [RosterEntry("FGP", "none", "FullGP")]),
+                         split_fraction=0.8)
+        with pytest.raises(ValueError, match="too few rows on one side"):
+            run_experiment(config)
 
     def test_original_scale_round_trip(self):
         table = Table({"a": np.arange(20.0), "y": np.arange(20.0) * 3 + 5}, 20)
@@ -397,6 +413,16 @@ class TestDemos:
         assert (tmp_path / "synth_trace.json").exists()
         refined = result["refinement"]
         assert refined.fun >= result["oat_model"].objective() - 1e-10
+
+    @pytest.mark.parametrize("script", ["01_exact_vs_sparse.py",
+                                        "02_knot_selection_walkthrough.py",
+                                        "03_duplicate_knot_spikes.py"])
+    def test_demo_script_runs(self, tmp_path, capsys, script):
+        # 04 runs a whole experiment, about 10 s, and is left out
+        copy = tmp_path / script
+        shutil.copy(DEMO_DIR / script, copy)
+        runpy.run_path(str(copy), run_name="__main__")
+        assert capsys.readouterr().out
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,8 +1,11 @@
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from knotgp import common
+from knotgp import Approximation, KernelParams, common, fit_full, fit_sparse, predict_full
 from knotgp.common import NumericalError, chol_lower
 
 
@@ -73,3 +76,30 @@ class TestCholLower:
                            diagnostics=diagnostics)
             assert diagnostics["near_singular_factorizations"] == escalations + 1
             assert info.value.attempted_jitter == last_ridge
+
+
+class TestNegativeVarianceClamp:
+    """Both predictors clamp negative latent variances at zero and count them.
+    Halving a fitted Cholesky factor quadruples the variance explained by the
+    data, so test points near the data go negative while far ones do not."""
+
+    def test_clamped_entries_are_zero_and_counted(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, (30, 1))
+        y = np.sin(4.0 * x[:, 0])
+        params = KernelParams(1.3, 0.3, 0.01)
+        full = fit_full(x, y, params)
+        full = replace(full, chol=0.5 * full.chol)
+        sparse = fit_sparse(Approximation.DTC, x, y, params, np.linspace(0.0, 1.0, 6)[:, None])
+        sparse._luu = 0.5 * sparse._luu
+        xt = np.linspace(-2.0, 3.0, 101)[:, None]
+        for model, predict in ((full, partial(predict_full, full)), (sparse, sparse.predict)):
+            counts = []
+            for _ in range(2):
+                pred = predict(xt)
+                zero = pred.latent_variance == 0.0
+                counts.append(int(zero.sum()))
+                assert model.diagnostics["negative_variance_clamps"] == sum(counts)
+                np.testing.assert_array_equal(pred.noisy_variance[zero], params.noise_variance)
+                assert np.all(pred.latent_variance[~zero] > 0.0)
+            assert 0 < counts[0] == counts[1] < xt.shape[0]

@@ -143,8 +143,9 @@ class TestProposeBo:
 
 
 class TestInnerLoopDistanceCache:
-    """The inner optimization reuses the frozen knots' distances; each of its
-    evaluations must match a model built from scratch."""
+    """The sparse search reuses the fixed knots' distances; each of its
+    evaluations must match a model built from scratch, whether it frees no
+    knot, one knot or all of them."""
 
     @staticmethod
     def _inner_objective(monkeypatch, objective, x, y, params, knots, active):
@@ -160,7 +161,7 @@ class TestInnerLoopDistanceCache:
         return captured[0]
 
     @pytest.mark.parametrize("objective", ["vfe", "fic"])
-    @pytest.mark.parametrize("active", [None, 2, 5])
+    @pytest.mark.parametrize("active", [None, 2, 5, "all"])
     def test_matches_fresh_model(self, monkeypatch, objective, active):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((150, 3))
@@ -172,37 +173,51 @@ class TestInnerLoopDistanceCache:
         for _ in range(4):
             vec = params.log_vector() + 0.2 * rng.standard_normal(3)
             moved = knots.copy()
-            if active is not None:
-                moved[active] += 0.3 * rng.standard_normal(3)
-                vec = np.concatenate([vec, moved[active]])
+            if active == "all":
+                moved += 0.3 * rng.standard_normal(moved.shape)
+                vec = np.concatenate([vec, moved.reshape(-1)])
+                free = {"all_knots": True}
+            else:
+                free = {"active_knot_index": active}
+                if active is not None:
+                    moved[active] += 0.3 * rng.standard_normal(3)
+                    vec = np.concatenate([vec, moved[active]])
             value, grad = fg(vec)
             fresh_value, fresh_grad = SparseGPModel(
                 approx, x, y, params.with_log_vector(vec[:3]), moved
-            ).objective_grad(active_knot_index=active)
+            ).objective_grad(**free)
             assert abs(value - fresh_value) <= 1e-12 * abs(fresh_value)
             assert np.max(np.abs(grad - fresh_grad)) <= 1e-12 * np.max(np.abs(fresh_grad))
+            if active == "all":
+                # with every knot free, simultaneous refinement evaluates
+                # exactly what a fresh build does
+                assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
+                assert grad.tobytes() == fresh_grad.tobytes()
 
     def test_non_finite_active_knot_raises(self, monkeypatch):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((40, 2))
         y = rng.standard_normal(40)
         params = KernelParams(1.0, 1.0, 0.1)
-        fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:3].copy(), 2)
-        with pytest.raises(ValueError, match="non-finite"):
-            fg(np.concatenate([params.log_vector(), [np.nan, 0.0]]))
-
+        for free, coords in ((2, x[2].copy()), ("all", x[:3].copy())):
+            fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:3].copy(), free)
+            coords.reshape(-1)[-2] = np.nan
+            with pytest.raises(ValueError,
+                               match="knot locations contains non-finite entries"):
+                fg(np.concatenate([params.log_vector(), coords.reshape(-1)]))
 
     def test_reused_buffers_carry_no_state(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((60, 3))
         y = rng.standard_normal(60)
         params = KernelParams(1.0, 0.8, 0.1)
-        fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:5].copy(), 4)
-        v1 = np.concatenate([params.log_vector(), x[10]])
-        v2 = np.concatenate([params.log_vector() + 0.3, x[20] + 1.0])
-        first, _, third = fg(v1), fg(v2), fg(v1)
-        assert np.float64(first[0]).tobytes() == np.float64(third[0]).tobytes()
-        assert first[1].tobytes() == third[1].tobytes()
+        for free, coords in ((4, x[10]), ("all", x[10:15].reshape(-1))):
+            fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:5].copy(), free)
+            v1 = np.concatenate([params.log_vector(), coords])
+            v2 = np.concatenate([params.log_vector() + 0.3, coords[::-1] + 1.0])
+            first, _, third = fg(v1), fg(v2), fg(v1)
+            assert np.float64(first[0]).tobytes() == np.float64(third[0]).tobytes()
+            assert first[1].tobytes() == third[1].tobytes()
 
 
 class TestValidationOutsideTheLoop:
@@ -371,6 +386,20 @@ class TestOatSelect:
                               OptimizerConfig(max_steps=80))
         knots = model.knots.locations[:, 0]
         assert knots.max() - knots.min() >= 0.6 * (x.max() - x.min())
+
+
+@pytest.mark.parametrize("search", [
+    lambda x, y, p: oat_select(x, y, p, OATConfig(initial_knot_count=3, max_knots=4)),
+    lambda x, y, p: simultaneous_optimize(x, y, p, x[:3]),
+], ids=["oat_select", "simultaneous_optimize"])
+def test_row_count_mismatch_raises_before_any_fit(monkeypatch, search):
+    def no_kmeans(*args):
+        raise AssertionError("k-means ran before the row counts were checked")
+
+    monkeypatch.setattr(selection, "kmeans_init", no_kmeans)
+    x = np.random.default_rng(13).standard_normal((20, 2))
+    with pytest.raises(ValueError, match=r"^row count mismatch: 20 inputs vs 19 targets$"):
+        search(x, np.zeros(19), KernelParams(1.0, 1.0, 0.1))
 
 
 class TestSimultaneousOptimize:

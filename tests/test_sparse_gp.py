@@ -18,6 +18,16 @@ class TestKnotSet:
         assert KnotSet(np.array([[0.0], [0.0]])).has_duplicates
         assert not KnotSet(np.array([[0.0], [1.0]])).has_duplicates
 
+    def test_coincidence_is_per_coordinate(self):
+        # the distance expansion's cancellation error (~1e-14 here) once hid
+        # this exact duplicate
+        rng = np.random.default_rng(0)
+        knots = 3.0 * rng.standard_normal((6, 5))
+        assert KnotSet(np.vstack([knots, knots[2]])).has_duplicates
+        for offset, flagged in ((1e-12, True), (1e-6, False)):
+            near = knots[2] + offset * np.array([1.0, -1.0, 0.5, 0.0, 1.0])
+            assert KnotSet(np.vstack([knots, near])).has_duplicates is flagged
+
     def test_dic_and_fitc_cannot_fit(self):
         x, y = np.zeros((3, 1)), np.zeros(3)
         p = KernelParams(1.0, 1.0, 0.1)
