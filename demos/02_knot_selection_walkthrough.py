@@ -8,61 +8,31 @@ loop has done its job. Plot-ready CSVs land in demos/out/.
 Run:  python3 demos/02_knot_selection_walkthrough.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from knotgp import KernelParams, OATConfig, oat_select, simultaneous_optimize
-from knotgp.adadelta import OptimizerConfig
+from knotgp.demos import synth_demo
 
-rng = np.random.default_rng(3)
-
-n = 300
-x = rng.uniform(0.0, 1.0, n).reshape(-1, 1)
-f = np.sin(2 * np.pi * x[:, 0]) + 0.5 * np.sin(6 * np.pi * x[:, 0])
-y = f + 0.3 * rng.standard_normal(n)
-y = (y - y.mean()) / y.std()
-
-config = OATConfig(
-    initial_knot_count=5,
-    max_knots=30,
-    proposal="bo",          # Bayesian optimization over the training inputs
-    objective="vfe",        # the variational lower bound
-    rng_seed=0,
-)
-optimizer = OptimizerConfig(max_steps=300)
-
-model, trace = oat_select(x, y, KernelParams(1.0, 0.2, 0.1), config, optimizer)
+out = Path(__file__).parent / "out"
+result = synth_demo(seed=3, out_dir=out)
+model, trace, x = result["oat_model"], result["trace"], result["x"]
 
 print("round  knots  objective-before  objective-after  accepted-at")
-for step in trace.steps:
-    where = "-" if step.accepted_location is None \
-        else f"{step.accepted_location[0]:+.3f}"
-    print(f"{step.knot_count:5d}  {step.knot_count:5d}  {step.objective_before:16.3f}"
+for round_index, step in enumerate(trace.steps):
+    where = "-" if step.accepted_location is None else f"{step.accepted_location[0]:+.3f}"
+    print(f"{round_index:5d}  {step.knot_count:5d}  {step.objective_before:16.3f}"
           f"  {step.objective_after:15.3f}  {where}")
 print(f"stopped because: {trace.stopped_because}")
 
 knots = np.sort(model.knots.locations[:, 0])
-print(f"\nselected {model.n_knots} knots spanning "
-      f"[{knots.min():.3f}, {knots.max():.3f}] "
+print(f"\nselected {model.n_knots} knots spanning [{knots.min():.3f}, {knots.max():.3f}] "
       f"(data spans [{x.min():.3f}, {x.max():.3f}])")
 
-# refinement: move every knot and the parameters jointly, starting from the
-# OAT solution; best-seen bookkeeping means this can only help
-refined, result = simultaneous_optimize(x, y, model.params,
-                                        model.knots.locations, "vfe", optimizer)
+# the refinement moves every knot and the parameters jointly, starting from
+# the OAT solution; best-seen bookkeeping means it can only help
+refined, refinement = result["refined_model"], result["refinement"]
 moved = np.abs(np.sort(refined.knots.locations[:, 0]) - knots)
-print(f"\nsimultaneous refinement: {model.objective():.3f} -> {result.fun:.3f} "
+print(f"\nsimultaneous refinement: {model.objective():.3f} -> {refinement.fun:.3f} "
       f"(largest knot movement {moved.max():.4f})")
-
-from pathlib import Path
-import csv
-
-out = Path(__file__).parent / "out"
-out.mkdir(exist_ok=True)
-grid = np.linspace(0, 1, 201).reshape(-1, 1)
-pred = model.predict(grid)
-with open(out / "oat_fit.csv", "w", newline="") as handle:
-    writer = csv.writer(handle)
-    writer.writerow(["x", "mean", "latent_sd"])
-    for row in zip(grid[:, 0], pred.latent_mean, np.sqrt(pred.latent_variance)):
-        writer.writerow([f"{v:.6f}" for v in row])
-print(f"\nwrote grid predictions to {out / 'oat_fit.csv'}")
+print(f"\nwrote grid predictions, the selection trace and both knot sets to {out}")

@@ -53,6 +53,15 @@ def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _test_inputs(test_inputs, x: np.ndarray) -> np.ndarray:
+    """Test inputs as an (m, d) matrix as wide as the training inputs ``x``."""
+    xt = as_input_matrix(test_inputs, "test inputs")
+    if xt.shape[1] != x.shape[1]:
+        raise ValueError(f"test input dimension {xt.shape[1]} does not match "
+                         f"training dimension {x.shape[1]}")
+    return xt
+
+
 def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | None = None,
                label: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a symmetric PSD matrix.

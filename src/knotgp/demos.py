@@ -19,8 +19,8 @@ from .kernels import KernelParams
 from .selection import OATConfig, kmeans_init, oat_select, simultaneous_optimize
 
 
-def spike_demo(seed: int = 0, out_dir=None, n_points: int = 200, n_knots: int = 5,
-               n_grid: int = 401, noise_sd: float = 0.4, jitter_ratio: float = 1e-3):
+def spike_demo(seed: int = 0, out_dir=None, n_points: int = 200, n_grid: int = 401,
+               jitter_ratio: float = 1e-3):
     """Fit a five-knot variational model to 1-d data, then sweep the location
     of a sixth knot across the domain and record the objective.
 
@@ -40,11 +40,11 @@ def spike_demo(seed: int = 0, out_dir=None, n_points: int = 200, n_knots: int = 
     rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(0.0, 1.0, n_points)).reshape(-1, 1)
     f = np.sin(2.0 * np.pi * x[:, 0]) + 0.5 * np.cos(5.0 * np.pi * x[:, 0])
-    y = f + noise_sd * rng.standard_normal(n_points)
+    y = f + 0.4 * rng.standard_normal(n_points)
     y = (y - y.mean()) / y.std()
 
     init = KernelParams(1.0, 0.2, 0.1, latent_jitter=jitter_ratio)
-    knots0 = kmeans_init(x, n_knots, rng.integers(2 ** 32))
+    knots0 = kmeans_init(x, 5, rng.integers(2 ** 32))
     model, _ = simultaneous_optimize(x, y, init, knots0, "vfe",
                                      OptimizerConfig(max_steps=400))
     base = model.objective()
@@ -82,8 +82,7 @@ def spike_demo(seed: int = 0, out_dir=None, n_points: int = 200, n_knots: int = 
     return result
 
 
-def synth_demo(seed: int = 0, out_dir=None, n_points: int = 300, max_knots: int = 30,
-               noise_sd: float = 0.3):
+def synth_demo(seed: int = 0, out_dir=None, n_points: int = 300, max_knots: int = 30):
     """The one-dimensional walkthrough: 300 synthetic points, an OAT-BO
     variational fit, and a simultaneous refinement started from it.
 
@@ -93,7 +92,7 @@ def synth_demo(seed: int = 0, out_dir=None, n_points: int = 300, max_knots: int 
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n_points).reshape(-1, 1)
     f = np.sin(2.0 * np.pi * x[:, 0]) + 0.5 * np.sin(6.0 * np.pi * x[:, 0])
-    y = f + noise_sd * rng.standard_normal(n_points)
+    y = f + 0.3 * rng.standard_normal(n_points)
     y = (y - y.mean()) / y.std()
 
     config = OATConfig(initial_knot_count=5, max_knots=max_knots, proposal="bo",

@@ -2,11 +2,11 @@
 
 Serves two purposes: it is a usable model in its own right, and it is the
 reference against which the sparse approximations are checked (objective
-lower bounds, predictive divergences). All solves go through a Cholesky
-factor of ``Sigma_xx + (tau2 + jitter) I``. Only the gradient of the log
-marginal likelihood, which needs the full inverse, forms it, from that factor
-with one LAPACK ``potri`` whose lower triangle is mirrored through a cached
-mask.
+lower bounds, predictive divergences). A fitted model holds no N x N matrix
+but the Cholesky factor of ``Sigma_xx + (tau2 + jitter) I``, through which
+all solves go. The gradient of the log marginal likelihood recomputes the
+kernel matrix and forms the full inverse from the factor with one LAPACK
+``potri``, whose lower triangle is mirrored through a cached mask.
 
 The hyperparameter search behind the BO surrogate and the FullGP roster
 entry evaluates in a lean path: the inputs are validated and their squared
@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpotri
 
 from .adadelta import MaximizeResult, OptimizerConfig, maximize
 from .common import (LOG_2PI, NumericalError, PredictiveDistribution, _clamped_prediction,
-                     _training_data, as_input_matrix, chol_lower, tri_solve)
+                     _test_inputs, _training_data, chol_lower, tri_solve)
 from .kernels import KernelParams, _kernel, squared_distances
 
 
@@ -46,8 +46,6 @@ class FullGPModel:
     mean_constant: float
     chol: np.ndarray
     alpha: np.ndarray
-    kernel_matrix: np.ndarray
-    sqdist: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -74,10 +72,9 @@ def _factorize(kmat: np.ndarray, resid: np.ndarray, params: KernelParams):
 def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPModel:
     """Fit an exact GP by factorizing the noisy training covariance."""
     x, y = _training_data(x, y)
-    d2 = squared_distances(x, x)
-    kmat = _kernel(d2, params)
+    kmat = _kernel(squared_distances(x, x), params)
     factor, alpha = _factorize(kmat, y - mean_constant, params)
-    return FullGPModel(params, x, y, float(mean_constant), factor, alpha, kmat, d2)
+    return FullGPModel(params, x, y, float(mean_constant), factor, alpha)
 
 
 def fit_hyperparameters(x, y, init_params: KernelParams,
@@ -109,12 +106,14 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
     """Log density of the targets under the fitted joint Gaussian.
 
     With ``with_grad=True`` also returns the gradient with respect to
-    (log s2, log ell, log tau2). The jitter is tied to the signal variance
-    (fixed ratio), so its contribution rides along with the log-s2 direction.
+    (log s2, log ell, log tau2), recomputing the kernel matrix from the
+    training inputs. The jitter is tied to the signal variance (fixed ratio),
+    so its contribution rides along with the log-s2 direction.
     """
-    return _log_density_and_grad(model.chol, model.alpha,
-                                 model.train_targets - model.mean_constant,
-                                 model.kernel_matrix, model.sqdist, model.params, with_grad)
+    d2 = squared_distances(model.train_inputs, model.train_inputs) if with_grad else None
+    kmat = None if d2 is None else _kernel(d2, model.params)
+    return _log_density_and_grad(model.chol, model.alpha, model.train_targets - model.mean_constant,
+                                 kmat, d2, model.params, with_grad)
 
 
 @functools.lru_cache(maxsize=8)
@@ -155,12 +154,7 @@ def predict_full(model: FullGPModel, test_inputs) -> PredictiveDistribution:
     Negative round-off variances are clamped at zero; the number of clamps is
     recorded in ``model.diagnostics['negative_variance_clamps']``.
     """
-    xt = as_input_matrix(test_inputs, "test inputs")
-    if xt.shape[1] != model.train_inputs.shape[1]:
-        raise ValueError(
-            f"test input dimension {xt.shape[1]} does not match "
-            f"training dimension {model.train_inputs.shape[1]}"
-        )
+    xt = _test_inputs(test_inputs, model.train_inputs)
     params = model.params
     cross = _kernel(squared_distances(model.train_inputs, xt), params)
     mean = model.mean_constant + cross.T @ model.alpha

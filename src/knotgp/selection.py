@@ -6,9 +6,10 @@ Bayesian optimization over candidate gains), appends it, and gradient-ascends
 the covariance parameters together with the new knot's coordinates while all
 previous knots stay frozen. A simultaneous-refinement path optimizes every
 knot coordinate jointly for a fixed knot count. Both run through one sparse
-search, :func:`_optimize_params_and_knot`, which differs between them only in
-which knots it frees: none for the initial fit, the new knot in each round,
-or all of them.
+search, :func:`_optimize_params_and_knot`, which starts from a model (with
+the k-means knots, with the proposed knot appended, or the refinement's
+start) and frees none of its knots for the initial fit, the new knot in each
+round, or all of them.
 
 Proposals always return a member of the candidate pool; continuous movement
 of a knot happens only inside the gradient step that follows.
@@ -27,7 +28,7 @@ from . import full_gp
 from .adadelta import OptimizerConfig, maximize
 from .common import NumericalError, _training_data, as_input_matrix
 from .kernels import KernelParams, _row_norms, _squared_distances
-from .sparse_gp import Approximation, SparseGPModel, _coincident, _knot_array
+from .sparse_gp import Approximation, SparseGPModel, _coincident
 
 logger = logging.getLogger(__name__)
 
@@ -142,13 +143,13 @@ def propose_rs(model: SparseGPModel, candidate_pool, subset_size: int, seed) -> 
 
 
 def _fit_surrogate(inputs: np.ndarray, gains: np.ndarray, init_params: KernelParams):
-    """Hyperparameters of the proposal surrogate by marginal-likelihood ascent."""
+    """The proposal surrogate, with hyperparameters by marginal-likelihood
+    ascent, or at ``init_params`` if that search fails."""
     cfg = OptimizerConfig(max_steps=150, rel_tol=1e-4, patience=5)
     try:
-        surrogate, _ = full_gp.fit_hyperparameters(inputs, gains, init_params, cfg)
-        return surrogate, surrogate.params
+        return full_gp.fit_hyperparameters(inputs, gains, init_params, cfg)[0]
     except (NumericalError, ValueError):
-        return full_gp.fit_full(inputs, gains, init_params, mean_constant=0.0), init_params
+        return full_gp.fit_full(inputs, gains, init_params)
 
 
 def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design: int,
@@ -189,8 +190,8 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
         gvar = max(float(np.var(finite)), 1e-10)
         if surrogate_params is None:
             surrogate_params = KernelParams(gvar, 1.0, max(1e-6 * gvar, 1e-12))
-        surrogate, surrogate_params = _fit_surrogate(coords[probed], finite,
-                                                     surrogate_params)
+        surrogate = _fit_surrogate(coords[probed], finite, surrogate_params)
+        surrogate_params = surrogate.params
         remaining = np.setdiff1d(eligible, probed)
         pred = full_gp.predict_full(surrogate, coords[remaining])
         best = float(np.max(finite))
@@ -211,29 +212,27 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     return pool[best_idx].copy()
 
 
-def _optimize_params_and_knot(objective: str, x, y, params: KernelParams,
-                              knots: np.ndarray, free: int | str | None,
-                              optimizer_config: OptimizerConfig, mean_constant: float):
-    """Ascent over the covariance parameters and the free knots' coordinates;
-    returns (model, MaximizeResult).
+def _optimize_params_and_knot(start: SparseGPModel, free: int | str | None,
+                              optimizer_config: OptimizerConfig):
+    """Ascent from ``start`` over the covariance parameters and the free
+    knots' coordinates; returns (model, MaximizeResult).
 
     ``free`` is None (parameters only), one knot index, or ``"all"``; the
-    other knots stay where they are. ``x`` and ``y`` must already be
-    validated, and the knots finite. The knots' squared distances live in
-    buffers computed once: each evaluation checks only the free coordinates
-    and recomputes only the free knots' rows and columns. The returned model
-    is rebuilt by the public constructor at the best-seen point, so the
-    search never reports worse than its starting objective.
+    other knots stay where they are. The approximation, data, mean, starting
+    parameters and knots are ``start``'s, and its knots' squared distances
+    are copied into buffers: each evaluation checks only the free
+    coordinates and recomputes only the free knots' rows and columns. The
+    returned model is rebuilt by the public constructor at the best-seen
+    point, so the search never reports worse than its starting objective.
     """
-    approx = _OBJECTIVE_APPROX[objective]
+    x, params = start.x, start.params
     all_knots = free == "all"
     active = None if all_knots else free
     rows = slice(None) if all_knots else slice(0, 0) if free is None else slice(free, free + 1)
-    kn = knots.copy()
+    kn = start.knots.locations.copy()
     d = kn.shape[1]
     x_sq = _row_norms(x)
-    d2_uu = _squared_distances(kn, kn, _row_norms(kn))
-    d2_ux = _squared_distances(kn, x, x_sq)
+    d2_uu, d2_ux = start._d2_uu.copy(), start._d2_ux.copy()
 
     def fg(vec):
         p = params.with_log_vector(vec[:3])
@@ -247,22 +246,20 @@ def _optimize_params_and_knot(objective: str, x, y, params: KernelParams,
             d2_uu[:, rows] = block.T
             d2_uu[rows] = block
             d2_ux[rows] = _squared_distances(kn[rows], x, x_sq)
-        model = SparseGPModel._from_distances(approx, x, y, p, kn, d2_uu, d2_ux,
-                                              mean_constant)
+        model = start._variant(p, kn, d2_uu, d2_ux)
         return model.objective_grad(active_knot_index=active, all_knots=all_knots)
 
     init = np.concatenate([params.log_vector(), kn[rows].reshape(-1)])
     res = maximize(fg, init, optimizer_config)
-    best_knots = knots.copy()
+    best_knots = start.knots.locations.copy()
     best_knots[rows] = res.x[3:].reshape(-1, d)
-    model = SparseGPModel(approx, x, y, params.with_log_vector(res.x[:3]), best_knots,
-                          mean_constant)
+    model = SparseGPModel(start.approx, x, start.y, params.with_log_vector(res.x[:3]),
+                          best_knots, start.mean_constant)
     return model, res
 
 
 def oat_select(x, y, init_params: KernelParams, config: OATConfig,
-               optimizer_config: OptimizerConfig | None = None,
-               mean_constant: float = 0.0):
+               optimizer_config: OptimizerConfig | None = None):
     """Run the one-at-a-time selection loop; returns (model, trace).
 
     Each round proposes one knot from the training inputs, accepts it
@@ -272,6 +269,7 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
     ``improvement_tol * (|objective| + 1)``.
     """
     x, y = _training_data(x, y)
+    approx = _OBJECTIVE_APPROX[config.objective]
     if optimizer_config is None:
         optimizer_config = OptimizerConfig()
     master = np.random.SeedSequence(config.rng_seed)
@@ -280,8 +278,8 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
 
     knots = kmeans_init(x, config.initial_knot_count, kmeans_seed)
     t0 = time.perf_counter()
-    model, res = _optimize_params_and_knot(config.objective, x, y, init_params, knots,
-                                           None, optimizer_config, mean_constant)
+    model, res = _optimize_params_and_knot(SparseGPModel(approx, x, y, init_params, knots),
+                                           None, optimizer_config)
     trace.steps.append(SelectionStep(knots.shape[0], float(res.trace[0]), res.fun,
                                      0.0, time.perf_counter() - t0, None))
     if res.stop_reason.startswith("non_finite"):
@@ -307,8 +305,7 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
         to = time.perf_counter()
         try:
             model, res = _optimize_params_and_knot(
-                config.objective, x, y, model.params, knots, knots.shape[0] - 1,
-                optimizer_config, mean_constant)
+                SparseGPModel(approx, x, y, model.params, knots), len(knots) - 1, optimizer_config)
         except (NumericalError, ValueError) as err:
             trace.stopped_because = f"inner optimization failed: {err}"
             break
@@ -327,14 +324,11 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
 
 def simultaneous_optimize(x, y, init_params: KernelParams, init_knots,
                           objective: str = "vfe",
-                          optimizer_config: OptimizerConfig | None = None,
-                          mean_constant: float = 0.0):
+                          optimizer_config: OptimizerConfig | None = None):
     """Joint ascent over the covariance parameters and all knot coordinates.
 
     Returns (model, MaximizeResult); the model is rebuilt at the best-seen
     point, so refinement never reports worse than its starting objective.
     """
-    x, y = _training_data(x, y)
-    knots0 = _knot_array(init_knots, x)
-    return _optimize_params_and_knot(objective, x, y, init_params, knots0, "all",
-                                     optimizer_config or OptimizerConfig(), mean_constant)
+    start = SparseGPModel(_OBJECTIVE_APPROX[objective], x, y, init_params, init_knots)
+    return _optimize_params_and_knot(start, "all", optimizer_config or OptimizerConfig())

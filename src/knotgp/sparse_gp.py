@@ -57,7 +57,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from .common import (LOG_2PI, PredictiveDistribution, _clamped_prediction,
+from .common import (LOG_2PI, PredictiveDistribution, _clamped_prediction, _test_inputs,
                      _training_data, as_input_matrix, chol_lower, tri_solve)
 from .kernels import KernelParams, _kernel, cov_matrix, squared_distances
 
@@ -122,7 +122,7 @@ def _knot_array(knots, x: np.ndarray) -> np.ndarray:
     return u
 
 
-def psi_cross(x, knots, params: KernelParams, diagnostics: dict | None = None):
+def psi_cross(x, knots, params: KernelParams):
     """Low-rank factor pair (V, L) with Psi_xx = V^T V and L L^T = Suu.
 
     ``L`` is the lower Cholesky factor of ``cov(knots, knots) + jitter I`` and
@@ -130,8 +130,7 @@ def psi_cross(x, knots, params: KernelParams, diagnostics: dict | None = None):
     """
     x = as_input_matrix(x, "inputs")
     u = _knot_array(knots, x)
-    _, _, luu, v = _whiten(squared_distances(u, u), squared_distances(u, x), params,
-                           diagnostics)
+    _, _, luu, v = _whiten(squared_distances(u, u), squared_distances(u, x), params, None)
     return v, luu
 
 
@@ -176,16 +175,15 @@ class SparseGPModel:
         self._init(approx, x, y, params, knots, mean_constant,
                    squared_distances(u, u), squared_distances(u, x))
 
-    @classmethod
-    def _from_distances(cls, approx: Approximation, x: np.ndarray, y: np.ndarray,
-                        params: KernelParams, knots: np.ndarray, d2_uu: np.ndarray,
-                        d2_ux: np.ndarray, mean_constant: float) -> "SparseGPModel":
-        """A model over inputs and finite knots that the caller has already
-        validated, given their squared distances (``d2_uu`` K x K, ``d2_ux``
-        K x N); skips the checks and the distance work of the constructor."""
-        model = cls.__new__(cls)
-        model._init(approx, x, y, params, KnotSet._unchecked(knots), mean_constant,
-                    d2_uu, d2_ux)
+    def _variant(self, params: KernelParams, knots: np.ndarray, d2_uu: np.ndarray,
+                 d2_ux: np.ndarray) -> "SparseGPModel":
+        """This model's approximation, data and mean with other parameters and
+        finite (K, d) knots, given the knots' squared distances to each other
+        (``d2_uu``) and to the inputs (``d2_ux``). Skips the constructor's
+        checks and distance work; the variant holds the arrays, not copies."""
+        model = object.__new__(SparseGPModel)
+        model._init(self.approx, self.x, self.y, params, KnotSet._unchecked(knots),
+                    self.mean_constant, d2_uu, d2_ux)
         return model
 
     def _init(self, approx, x, y, params, knots, mean_constant, d2_uu, d2_ux):
@@ -297,11 +295,15 @@ class SparseGPModel:
             rows = None
 
         adjoint = self._dtc_adjoint if self.approx is Approximation.DTC else self._fic_adjoint
-        grad_params, grad_uu, grad_s_rows = adjoint(rows)
-        grad = np.array(grad_params, dtype=float)
+        ell2 = self.params.lengthscale ** 2
+        (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows = \
+            adjoint(rows, self._s * self._d2_ux)
+        # d S / d log ell = W / ell2 with W = S * D2, and likewise for Suu
+        d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
+        grad = np.array([d_log_s2, d_log_ell, d_log_tau2], dtype=float)
         if rows is not None:
             # d S_kn / d u_k = S_kn (x_n - u_k) / ell2, and likewise for Suu
-            u, ell2 = self.knots.locations, self.params.lengthscale ** 2
+            u = self.knots.locations
             gs = grad_s_rows * self._s[rows]
             gk = grad_uu[rows] * self._kuu[rows]
             step = (gs @ self.x - gs.sum(axis=1)[:, None] * u[rows]
@@ -314,9 +316,10 @@ class SparseGPModel:
         half = tri_solve(self._lb, np.eye(self._lb.shape[0]))
         return half.T @ half
 
-    def _dtc_adjoint(self, rows):
-        """Parameter derivatives of the variational objective, the symmetric
-        adjoint of ``Suu`` and, for the requested rows, that of ``S``.
+    def _dtc_adjoint(self, rows, w):
+        """Log-s2 and log-tau2 derivatives of the variational objective with
+        the contraction of the adjoint of ``S`` with ``w`` between them, the
+        symmetric adjoint of ``Suu`` and, for the requested rows, that of ``S``.
 
         With ``E = I - B~^{-1}`` and ``g = Suu^{-1} S alpha = L^{-T} V alpha``:
 
@@ -327,8 +330,7 @@ class SparseGPModel:
         matrices: ``tr(E)``, ``||V alpha||^2`` and, for the lengthscale,
         ``W V^T`` with ``W = S * D2``.
         """
-        params = self.params
-        tau2, ell2 = params.noise_variance, params.lengthscale ** 2
+        tau2 = self.params.noise_variance
         v, luu, alpha = self._v, self._luu, self._alpha
         k = v.shape[0]
 
@@ -342,18 +344,16 @@ class SparseGPModel:
         grad_uu = -0.5 * (h @ h.T + g[:, None] * g)
 
         penalty = self.trace_penalty()
-        w = self._s * self._d2_ux
         grad_s_dot_w = g @ (w @ alpha) + (le * (w @ v.T)).sum() / tau2
         d_log_s2 = 0.5 * float(va @ va) - 0.5 * tr_e - penalty
-        d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
         d_log_tau2 = -0.5 * (self.n_train - tr_e) + 0.5 * tau2 * float(alpha @ alpha) + penalty
 
         grad_s_rows = None
         if rows is not None:
             grad_s_rows = g[rows, None] * alpha + (le[rows] @ v) / tau2
-        return (d_log_s2, d_log_ell, d_log_tau2), grad_uu, grad_s_rows
+        return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
 
-    def _fic_adjoint(self, rows):
+    def _fic_adjoint(self, rows, w):
         """As :meth:`_dtc_adjoint` for the FIC log marginal likelihood, whose
         per-point ``lam`` keeps a K x N term in the adjoint of ``S``.
 
@@ -365,8 +365,7 @@ class SparseGPModel:
                       M = (1/2) (I - B~^{-1}) + V diag(lam_bar) V^T
         """
         params = self.params
-        s2, ell2 = params.signal_variance, params.lengthscale ** 2
-        tau2, jitter = params.noise_variance, params.latent_jitter
+        s2, tau2, jitter = params.signal_variance, params.noise_variance, params.latent_jitter
         v, luu, lam, alpha = self._v, self._luu, self._lam, self._alpha
         k = v.shape[0]
 
@@ -384,13 +383,11 @@ class SparseGPModel:
             - 0.5 * (g[:, None] * g)
         grad_uu = 0.5 * (grad_uu + grad_uu.T)
 
-        # contractions with Suu = L L^T and S = L V, then with Kuu * D2 and W
-        w = self._s * self._d2_ux
+        # contractions with Suu = L L^T and S = L V
         grad_s_dot_w = tri_solve(luu, r @ w.T, trans=True).trace()
         # lam_i = (s2 + jitter) + tau2 - psi_i
         d_log_s2 = (m.trace() - 0.5 * float(va @ va) + (r * v).sum()
                     + sum_lam_bar * (s2 + jitter))
-        d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
         d_log_tau2 = sum_lam_bar * tau2
 
         grad_s_rows = None
@@ -398,7 +395,7 @@ class SparseGPModel:
             # row i of L^{-T} is (L^{-1} e_i)^T
             unit = np.eye(k)[:, rows]
             grad_s_rows = tri_solve(luu, unit).T @ r
-        return (d_log_s2, d_log_ell, d_log_tau2), grad_uu, grad_s_rows
+        return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
 
     # -- prediction ----------------------------------------------------------
 
@@ -415,12 +412,7 @@ class SparseGPModel:
 
         FIC marginals coincide with FITC's.
         """
-        xt = as_input_matrix(test_inputs, "test inputs")
-        if xt.shape[1] != self.x.shape[1]:
-            raise ValueError(
-                f"test input dimension {xt.shape[1]} does not match "
-                f"training dimension {self.x.shape[1]}"
-            )
+        xt = _test_inputs(test_inputs, self.x)
         params = self.params
         kut = _kernel(squared_distances(self.knots.locations, xt), params)
         vt = tri_solve(self._luu, kut)

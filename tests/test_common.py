@@ -103,3 +103,19 @@ class TestNegativeVarianceClamp:
                 np.testing.assert_array_equal(pred.noisy_variance[zero], params.noise_variance)
                 assert np.all(pred.latent_variance[~zero] > 0.0)
             assert 0 < counts[0] == counts[1] < xt.shape[0]
+
+
+@pytest.mark.parametrize("predictor", ["sparse", "full"])
+def test_predictors_share_the_test_width_check(predictor):
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((10, 2)), rng.standard_normal(10)
+    params = KernelParams(1.0, 1.0, 0.1)
+    if predictor == "sparse":
+        predict = fit_sparse(Approximation.DTC, x, y, params, x[:3]).predict
+    else:
+        predict = partial(predict_full, fit_full(x, y, params))
+    with pytest.raises(ValueError, match=r"^test input dimension 3 does not match "
+                                         r"training dimension 2$"):
+        predict(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="test inputs contains non-finite entries"):
+        predict([[0.0, np.nan]])

@@ -144,11 +144,12 @@ class TestProposeBo:
 
 class TestInnerLoopDistanceCache:
     """The sparse search reuses the fixed knots' distances; each of its
-    evaluations must match a model built from scratch, whether it frees no
-    knot, one knot or all of them."""
+    evaluations must match a model built from scratch, with the start
+    model's mean, whether it frees no knot, one knot or all of them."""
 
     @staticmethod
-    def _inner_objective(monkeypatch, objective, x, y, params, knots, active):
+    def _inner_objective(monkeypatch, objective, x, y, params, knots, active,
+                         mean_constant=0.0):
         captured = []
 
         def spy(fg, init, config):
@@ -156,8 +157,9 @@ class TestInnerLoopDistanceCache:
             return maximize(fg, init, OptimizerConfig(max_steps=1))
 
         monkeypatch.setattr(selection, "maximize", spy)
-        selection._optimize_params_and_knot(objective, x, y, params, knots, active,
-                                            OptimizerConfig(), 0.0)
+        start = SparseGPModel(selection._OBJECTIVE_APPROX[objective], x, y, params, knots,
+                              mean_constant)
+        selection._optimize_params_and_knot(start, active, OptimizerConfig())
         return captured[0]
 
     @pytest.mark.parametrize("objective", ["vfe", "fic"])
@@ -168,7 +170,8 @@ class TestInnerLoopDistanceCache:
         y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(150)
         knots = x[:6] + 0.05 * rng.standard_normal((6, 3))
         params = KernelParams(1.2, 0.9, 0.2)
-        fg = self._inner_objective(monkeypatch, objective, x, y, params, knots, active)
+        fg = self._inner_objective(monkeypatch, objective, x, y, params, knots, active,
+                                   mean_constant=0.3)
         approx = selection._OBJECTIVE_APPROX[objective]
         for _ in range(4):
             vec = params.log_vector() + 0.2 * rng.standard_normal(3)
@@ -184,7 +187,7 @@ class TestInnerLoopDistanceCache:
                     vec = np.concatenate([vec, moved[active]])
             value, grad = fg(vec)
             fresh_value, fresh_grad = SparseGPModel(
-                approx, x, y, params.with_log_vector(vec[:3]), moved
+                approx, x, y, params.with_log_vector(vec[:3]), moved, mean_constant=0.3
             ).objective_grad(**free)
             assert abs(value - fresh_value) <= 1e-12 * abs(fresh_value)
             assert np.max(np.abs(grad - fresh_grad)) <= 1e-12 * np.max(np.abs(fresh_grad))
@@ -252,8 +255,8 @@ class TestValidationOutsideTheLoop:
             if search == "fit_hyperparameters":
                 return full_gp.fit_hyperparameters(x[:29], y[:29], params, config)[1]
             if search == "inner_loop":
-                return selection._optimize_params_and_knot("vfe", x, y, params, knots, 3,
-                                                           config, 0.0)[1]
+                start = SparseGPModel(Approximation.DTC, x, y, params, knots)
+                return selection._optimize_params_and_knot(start, 3, config)[1]
             return simultaneous_optimize(x, y, params, knots, "vfe", config)[1]
 
         counts = self._count(monkeypatch)
@@ -331,11 +334,10 @@ class TestOatSelect:
 
         original = selection._optimize_params_and_knot
 
-        def spy(objective, x_, y_, params, knots, active_index, opt_cfg, mean_c):
-            model, res = original(objective, x_, y_, params, knots, active_index,
-                                  opt_cfg, mean_c)
-            snapshots.append((knots.copy(), model.knots.locations.copy(),
-                              active_index))
+        def spy(start, active_index, opt_cfg):
+            knots = start.knots.locations.copy()
+            model, res = original(start, active_index, opt_cfg)
+            snapshots.append((knots, model.knots.locations.copy(), active_index))
             return model, res
 
         selection._optimize_params_and_knot = spy
