@@ -72,13 +72,6 @@ class KernelParams:
         return KernelParams(s2, ell, tau2, latent_jitter=self.jitter_ratio * s2)
 
 
-def _as_point(x, name: str) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be a single point (1-d array)")
-    return a
-
-
 def _check_same_dim(a: np.ndarray, b: np.ndarray):
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"input dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
@@ -114,15 +107,21 @@ def _kernel(d2: np.ndarray, params: KernelParams) -> np.ndarray:
     return kmat
 
 
-def kernel_eval(a, b, params: KernelParams) -> float:
-    """Evaluate k(a, b) for two single points."""
-    a = _as_point(a, "a")
-    b = _as_point(b, "b")
+def _point_pair(a, b, b_name: str):
+    """``a - b`` and its squared norm for two single points of equal dimension."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    for point, name in ((a, "a"), (b, b_name)):
+        if point.ndim != 1:
+            raise ValueError(f"{name} must be a single point (1-d array)")
     _check_same_dim(a, b)
     diff = a - b
-    r2 = float(diff @ diff)
-    ell2 = params.lengthscale ** 2
-    return params.signal_variance * float(np.exp(-0.5 * r2 / ell2))
+    return diff, float(diff @ diff)
+
+
+def kernel_eval(a, b, params: KernelParams) -> float:
+    """Evaluate k(a, b) for two single points."""
+    _, r2 = _point_pair(a, b, "b")
+    return params.signal_variance * float(np.exp(-0.5 * r2 / params.lengthscale ** 2))
 
 
 def cov_matrix(a, b, params: KernelParams) -> np.ndarray:
@@ -132,11 +131,7 @@ def cov_matrix(a, b, params: KernelParams) -> np.ndarray:
 
 def kernel_grad_params(a, b, params: KernelParams) -> np.ndarray:
     """Gradient of k(a, b) with respect to (log s2, log ell)."""
-    a = _as_point(a, "a")
-    b = _as_point(b, "b")
-    _check_same_dim(a, b)
-    diff = a - b
-    r2 = float(diff @ diff)
+    _, r2 = _point_pair(a, b, "b")
     ell2 = params.lengthscale ** 2
     k = params.signal_variance * float(np.exp(-0.5 * r2 / ell2))
     return np.array([k, k * r2 / ell2])
@@ -144,10 +139,7 @@ def kernel_grad_params(a, b, params: KernelParams) -> np.ndarray:
 
 def kernel_grad_knot(a, knot, params: KernelParams) -> np.ndarray:
     """Gradient of k(a, knot) with respect to the knot coordinates."""
-    a = _as_point(a, "a")
-    knot = _as_point(knot, "knot")
-    _check_same_dim(a, knot)
-    diff = a - knot
+    diff, r2 = _point_pair(a, knot, "knot")
     ell2 = params.lengthscale ** 2
-    k = params.signal_variance * float(np.exp(-0.5 * float(diff @ diff) / ell2))
+    k = params.signal_variance * float(np.exp(-0.5 * r2 / ell2))
     return k * diff / ell2

@@ -9,7 +9,8 @@ knot coordinate jointly for a fixed knot count. Both run through one sparse
 search, :func:`_optimize_params_and_knot`, which starts from a model (with
 the k-means knots, with the proposed knot appended, or the refinement's
 start) and frees none of its knots for the initial fit, the new knot in each
-round, or all of them.
+round, or all of them. The search only runs the optimizer: the start model's
+``SparseGPModel._ascent`` evaluates each point and builds the result.
 
 Proposals always return a member of the candidate pool; continuous movement
 of a knot happens only inside the gradient step that follows.
@@ -28,11 +29,17 @@ from . import full_gp
 from .adadelta import OptimizerConfig, maximize
 from .common import NumericalError, _training_data, as_input_matrix
 from .kernels import KernelParams, _row_norms, _squared_distances
-from .sparse_gp import Approximation, SparseGPModel, _coincident
+from .sparse_gp import Approximation, SparseGPModel, _coincident, _knot_array
 
 logger = logging.getLogger(__name__)
 
 _OBJECTIVE_APPROX = {"vfe": Approximation.DTC, "fic": Approximation.FIC}
+
+
+def _objective_approx(objective: str) -> Approximation:
+    if objective not in _OBJECTIVE_APPROX:
+        raise ValueError(f"objective must be 'vfe' or 'fic', got {objective!r}")
+    return _OBJECTIVE_APPROX[objective]
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,7 @@ class OATConfig:
             raise ValueError("max_knots must be at least initial_knot_count")
         if self.proposal not in ("bo", "rs"):
             raise ValueError(f"proposal must be 'bo' or 'rs', got {self.proposal!r}")
-        if self.objective not in _OBJECTIVE_APPROX:
-            raise ValueError(f"objective must be 'vfe' or 'fic', got {self.objective!r}")
+        _objective_approx(self.objective)
         if self.improvement_tol <= 0.0:
             raise ValueError("improvement_tol must be positive")
         if self.rs_subset_size < 1:
@@ -132,7 +138,7 @@ def propose_rs(model: SparseGPModel, candidate_pool, subset_size: int, seed) -> 
     """Best-of-random-subset proposal: the sampled pool row whose addition,
     parameters fixed, most improves the model's objective. Ties go to the
     lowest pool index."""
-    pool = as_input_matrix(candidate_pool, "candidate pool")
+    pool = _knot_array(as_input_matrix(candidate_pool, "candidate pool"), model.x)
     if subset_size < 1:
         raise ValueError("subset_size must be at least 1")
     rng = np.random.default_rng(seed)
@@ -163,7 +169,7 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     if that excludes everything the proposal falls back to an exhaustive
     random-subset pass over the full pool.
     """
-    pool = as_input_matrix(candidate_pool, "candidate pool")
+    pool = _knot_array(as_input_matrix(candidate_pool, "candidate pool"), model.x)
     rng = np.random.default_rng(seed)
 
     eligible = np.flatnonzero(~_coincident(pool, model.knots.locations).any(axis=1))
@@ -214,48 +220,14 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
 
 def _optimize_params_and_knot(start: SparseGPModel, free: int | str | None,
                               optimizer_config: OptimizerConfig):
-    """Ascent from ``start`` over the covariance parameters and the free
-    knots' coordinates; returns (model, MaximizeResult).
-
-    ``free`` is None (parameters only), one knot index, or ``"all"``; the
-    other knots stay where they are. The approximation, data, mean, starting
-    parameters and knots are ``start``'s, and its knots' squared distances
-    are copied into buffers: each evaluation checks only the free
-    coordinates and recomputes only the free knots' rows and columns. The
-    returned model is rebuilt by the public constructor at the best-seen
-    point, so the search never reports worse than its starting objective.
-    """
-    x, params = start.x, start.params
-    all_knots = free == "all"
-    active = None if all_knots else free
-    rows = slice(None) if all_knots else slice(0, 0) if free is None else slice(free, free + 1)
-    kn = start.knots.locations.copy()
-    d = kn.shape[1]
-    x_sq = _row_norms(x)
-    d2_uu, d2_ux = start._d2_uu.copy(), start._d2_ux.copy()
-
-    def fg(vec):
-        p = params.with_log_vector(vec[:3])
-        if free is not None:
-            if not np.isfinite(vec[3:]).all():
-                raise ValueError("knot locations contains non-finite entries")
-            kn[rows] = vec[3:].reshape(-1, d)
-            block = _squared_distances(kn[rows], kn, _row_norms(kn))
-            # column first: with every knot free, ``block`` need not be exactly
-            # symmetric, and its rows are what a fresh build computes
-            d2_uu[:, rows] = block.T
-            d2_uu[rows] = block
-            d2_ux[rows] = _squared_distances(kn[rows], x, x_sq)
-        model = start._variant(p, kn, d2_uu, d2_ux)
-        return model.objective_grad(active_knot_index=active, all_knots=all_knots)
-
-    init = np.concatenate([params.log_vector(), kn[rows].reshape(-1)])
-    res = maximize(fg, init, optimizer_config)
-    best_knots = start.knots.locations.copy()
-    best_knots[rows] = res.x[3:].reshape(-1, d)
-    model = SparseGPModel(start.approx, x, start.y, params.with_log_vector(res.x[:3]),
-                          best_knots, start.mean_constant)
-    return model, res
+    """Ascent from ``start`` over the parameters and the ``free`` knots (see
+    ``SparseGPModel._ascent``); returns (model, MaximizeResult). The model is
+    rebuilt at the best-seen point, so the search never reports worse than
+    its starting objective. The search does not keep ``start`` alive."""
+    objective_with_grad, init, model_at = start._ascent(free)
+    del start
+    res = maximize(objective_with_grad, init, optimizer_config)
+    return model_at(res.x), res
 
 
 def oat_select(x, y, init_params: KernelParams, config: OATConfig,
@@ -330,5 +302,6 @@ def simultaneous_optimize(x, y, init_params: KernelParams, init_knots,
     Returns (model, MaximizeResult); the model is rebuilt at the best-seen
     point, so refinement never reports worse than its starting objective.
     """
-    start = SparseGPModel(_OBJECTIVE_APPROX[objective], x, y, init_params, init_knots)
-    return _optimize_params_and_knot(start, "all", optimizer_config or OptimizerConfig())
+    return _optimize_params_and_knot(
+        SparseGPModel(_objective_approx(objective), x, y, init_params, init_knots), "all",
+        optimizer_config or OptimizerConfig())

@@ -49,6 +49,9 @@ of ``S`` are formed only for the knots whose coordinates are requested. FIC
 keeps its per-point terms. With the jitter tied to the signal variance,
 every entry of ``S`` and ``Suu`` scales linearly in s2, which keeps the
 log-s2 direction exact.
+
+The gradient ascent's search vector, its evaluation and the knots' distance
+buffers it updates in place all live in :meth:`SparseGPModel._ascent`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 from .common import (LOG_2PI, PredictiveDistribution, _clamped_prediction, _test_inputs,
                      _training_data, as_input_matrix, chol_lower, tri_solve)
-from .kernels import KernelParams, _kernel, cov_matrix, squared_distances
+from .kernels import (KernelParams, _kernel, _row_norms, _squared_distances, cov_matrix,
+                      squared_distances)
 
 # two points closer than this in every coordinate coincide: a knot set that
 # holds such a pair has duplicates, and the Bayesian-optimization proposal
@@ -122,6 +126,11 @@ def _knot_array(knots, x: np.ndarray) -> np.ndarray:
     return u
 
 
+def _require(model: SparseGPModel, approx: Approximation, operation: str):
+    if model.approx is not approx:
+        raise RuntimeError(f"{operation} is defined for {approx.name} models")
+
+
 def psi_cross(x, knots, params: KernelParams):
     """Low-rank factor pair (V, L) with Psi_xx = V^T V and L L^T = Suu.
 
@@ -174,17 +183,6 @@ class SparseGPModel:
         knots = knots if isinstance(knots, KnotSet) else KnotSet._unchecked(u)
         self._init(approx, x, y, params, knots, mean_constant,
                    squared_distances(u, u), squared_distances(u, x))
-
-    def _variant(self, params: KernelParams, knots: np.ndarray, d2_uu: np.ndarray,
-                 d2_ux: np.ndarray) -> "SparseGPModel":
-        """This model's approximation, data and mean with other parameters and
-        finite (K, d) knots, given the knots' squared distances to each other
-        (``d2_uu``) and to the inputs (``d2_ux``). Skips the constructor's
-        checks and distance work; the variant holds the arrays, not copies."""
-        model = object.__new__(SparseGPModel)
-        model._init(self.approx, self.x, self.y, params, KnotSet._unchecked(knots),
-                    self.mean_constant, d2_uu, d2_ux)
-        return model
 
     def _init(self, approx, x, y, params, knots, mean_constant, d2_uu, d2_ux):
         self.approx = approx
@@ -248,15 +246,11 @@ class SparseGPModel:
         return total / (2.0 * params.noise_variance)
 
     def elbo(self) -> float:
-        if self.approx is not Approximation.DTC:
-            raise RuntimeError("the variational objective is defined for DTC models; "
-                               "use fic_log_marginal for FIC")
+        _require(self, Approximation.DTC, "the variational objective")
         return self._log_density() - self.trace_penalty()
 
     def fic_log_marginal(self) -> float:
-        if self.approx is not Approximation.FIC:
-            raise RuntimeError("fic_log_marginal is defined for FIC models; "
-                               "use elbo for DTC")
+        _require(self, Approximation.FIC, "fic_log_marginal")
         return self._log_density()
 
     def objective(self) -> float:
@@ -267,7 +261,7 @@ class SparseGPModel:
 
     def objective_with_added_knot(self, location) -> float:
         """Objective after appending one knot, parameters held fixed."""
-        loc = np.atleast_1d(np.asarray(location, dtype=float))
+        loc = _knot_array(np.reshape(location, (1, -1)), self.x)
         candidate = np.vstack([self.knots.locations, loc])
         return SparseGPModel(self.approx, self.x, self.y, self.params, candidate,
                              self.mean_constant).objective()
@@ -296,8 +290,9 @@ class SparseGPModel:
 
         adjoint = self._dtc_adjoint if self.approx is Approximation.DTC else self._fic_adjoint
         ell2 = self.params.lengthscale ** 2
-        (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows = \
-            adjoint(rows, self._s * self._d2_ux)
+        va = self._v @ self._alpha
+        (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows = adjoint(
+            rows, self._s * self._d2_ux, va, tri_solve(self._luu, va, trans=True))
         # d S / d log ell = W / ell2 with W = S * D2, and likewise for Suu
         d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
         grad = np.array([d_log_s2, d_log_ell, d_log_tau2], dtype=float)
@@ -311,17 +306,59 @@ class SparseGPModel:
             grad = np.concatenate([grad, step.reshape(-1)])
         return self.objective(), grad
 
+    def _ascent(self, free: int | str | None):
+        """(objective_with_grad, init, model_at) for an ascent from this model
+        over (log s2, log ell, log tau2) and, in row-major order, the free
+        knots' coordinates; ``free`` is None, one knot index, or ``"all"``.
+        Each evaluation checks only the free coordinates and recomputes only
+        their rows and columns of buffered knot distances. ``model_at`` builds
+        through the public constructor. The closures do not hold this model.
+        """
+        approx, x, y, params, mean = self.approx, self.x, self.y, self.params, self.mean_constant
+        all_knots = free == "all"
+        active = None if all_knots else free
+        rows = slice(None) if all_knots else slice(0, 0) if free is None else slice(free, free + 1)
+        kn = self.knots.locations.copy()
+        d = kn.shape[1]
+        x_sq = _row_norms(x)
+        d2_uu, d2_ux = self._d2_uu.copy(), self._d2_ux.copy()
+
+        def objective_with_grad(vec):
+            p = params.with_log_vector(vec[:3])
+            if free is not None:
+                if not np.isfinite(vec[3:]).all():
+                    raise ValueError("knot locations contains non-finite entries")
+                kn[rows] = vec[3:].reshape(-1, d)
+                block = _squared_distances(kn[rows], kn, _row_norms(kn))
+                # column first: with every knot free, ``block`` need not be exactly
+                # symmetric, and its rows are what a fresh build computes
+                d2_uu[:, rows] = block.T
+                d2_uu[rows] = block
+                d2_ux[rows] = _squared_distances(kn[rows], x, x_sq)
+            model = object.__new__(SparseGPModel)    # no checks or distance work
+            model._init(approx, x, y, p, KnotSet._unchecked(kn), mean, d2_uu, d2_ux)
+            return model.objective_grad(active_knot_index=active, all_knots=all_knots)
+
+        def model_at(vec):
+            knots = kn.copy()                        # only its free rows ever change
+            knots[rows] = vec[3:].reshape(-1, d)
+            return SparseGPModel(approx, x, y, params.with_log_vector(vec[:3]), knots, mean)
+
+        init = np.concatenate([params.log_vector(), kn[rows].reshape(-1)])
+        return objective_with_grad, init, model_at
+
     def _b_inverse(self) -> np.ndarray:
         """B~^{-1}, which is well conditioned: its eigenvalues lie in (0, 1]."""
         half = tri_solve(self._lb, np.eye(self._lb.shape[0]))
         return half.T @ half
 
-    def _dtc_adjoint(self, rows, w):
+    def _dtc_adjoint(self, rows, w, va, g):
         """Log-s2 and log-tau2 derivatives of the variational objective with
         the contraction of the adjoint of ``S`` with ``w`` between them, the
-        symmetric adjoint of ``Suu`` and, for the requested rows, that of ``S``.
+        symmetric adjoint of ``Suu`` and, for the requested rows, that of ``S``,
+        given ``va = V alpha`` and ``g = Suu^{-1} S alpha = L^{-T} va``.
 
-        With ``E = I - B~^{-1}`` and ``g = Suu^{-1} S alpha = L^{-T} V alpha``:
+        With ``E = I - B~^{-1}``:
 
             adj S   = g alpha^T + L^{-T} E V / tau2
             adj Suu = -(1/2) L^{-T} (B~ - 2I + B~^{-1}) L^{-1} - (1/2) g g^T
@@ -336,8 +373,6 @@ class SparseGPModel:
 
         e = np.eye(k) - self._b_inverse()
         tr_e = float(e.trace())
-        va = v @ alpha
-        g = tri_solve(luu, va, trans=True)
         le = tri_solve(luu, e, trans=True)
         # B~ - 2I + B~^{-1} = F^T F with F = L_B^{-1} (B~ - I)
         h = tri_solve(luu, tri_solve(self._lb, self._q).T, trans=True)
@@ -353,7 +388,7 @@ class SparseGPModel:
             grad_s_rows = g[rows, None] * alpha + (le[rows] @ v) / tau2
         return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
 
-    def _fic_adjoint(self, rows, w):
+    def _fic_adjoint(self, rows, w, va, g):
         """As :meth:`_dtc_adjoint` for the FIC log marginal likelihood, whose
         per-point ``lam`` keeps a K x N term in the adjoint of ``S``.
 
@@ -374,8 +409,6 @@ class SparseGPModel:
         sbs = np.einsum("kn,kn->n", v, bv)                      # (S^T B^{-1} S)_ii
         lam_bar = -0.5 * ((1.0 - sbs / lam) / lam - alpha ** 2)
         sum_lam_bar = float(lam_bar.sum())
-        va = v @ alpha
-        g = tri_solve(luu, va, trans=True)
         v_lam_bar = v * lam_bar
         r = va[:, None] * alpha - bv / lam - 2.0 * v_lam_bar
         m = 0.5 * (np.eye(k) - binv) + v_lam_bar @ v.T
@@ -436,15 +469,13 @@ def elbo(model: SparseGPModel) -> float:
 
 def elbo_grad(model: SparseGPModel, active_knot_index: int | None = None,
               all_knots: bool = False):
-    if model.approx is not Approximation.DTC:
-        raise RuntimeError("elbo_grad is defined for DTC models")
+    _require(model, Approximation.DTC, "elbo_grad")
     return model.objective_grad(active_knot_index=active_knot_index, all_knots=all_knots)
 
 
 def fic_log_marginal(model: SparseGPModel, with_grad: bool = False,
                      active_knot_index: int | None = None, all_knots: bool = False):
-    if model.approx is not Approximation.FIC:
-        raise RuntimeError("fic_log_marginal is defined for FIC models")
+    _require(model, Approximation.FIC, "fic_log_marginal")
     if with_grad or active_knot_index is not None or all_knots:
         return model.objective_grad(active_knot_index=active_knot_index,
                                     all_knots=all_knots)

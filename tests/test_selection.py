@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -94,6 +96,17 @@ class TestProposeRs:
         model = _toy_model(x, y, np.array([[0.2]]))
         with pytest.raises(ValueError):
             propose_rs(model, np.zeros((0, 1)), subset_size=3, seed=0)
+
+
+@pytest.mark.parametrize("propose", [
+    lambda model, pool: propose_rs(model, pool, subset_size=3, seed=0),
+    lambda model, pool: propose_bo(model, pool, budget=4, initial_design=2, seed=0),
+], ids=["rs", "bo"])
+def test_proposals_reject_a_pool_of_another_width(propose):
+    x = np.random.default_rng(15).standard_normal((30, 2))
+    model = _toy_model(x, np.sin(x[:, 0]), x[:3])
+    with pytest.raises(ValueError, match=r"^knot dimension 3 does not match input dimension 2$"):
+        propose(model, np.random.default_rng(16).standard_normal((10, 3)))
 
 
 class TestProposeBo:
@@ -289,6 +302,28 @@ class TestValidationOutsideTheLoop:
             fg(bad)
 
 
+def test_search_does_not_keep_its_start_model_alive(monkeypatch):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((40, 2))
+    y = rng.standard_normal(40)
+    refs, alive = [], []
+
+    def start():
+        model = SparseGPModel(Approximation.DTC, x, y, KernelParams(1.0, 1.0, 0.1), x[:4].copy())
+        refs.append(weakref.ref(model))
+        return model
+
+    def spy(fg, init, config):
+        gc.collect()
+        alive.append(refs[-1]() is not None)
+        return maximize(fg, init, OptimizerConfig(max_steps=2))
+
+    monkeypatch.setattr(selection, "maximize", spy)
+    for free in (None, 2, "all"):
+        selection._optimize_params_and_knot(start(), free, OptimizerConfig())
+    assert alive == [False, False, False]
+
+
 class TestOatSelect:
     def test_no_proposal_rounds_when_budget_equals_initial(self):
         x, y = _toy_1d(n=60)
@@ -405,6 +440,11 @@ def test_row_count_mismatch_raises_before_any_fit(monkeypatch, search):
 
 
 class TestSimultaneousOptimize:
+    def test_unknown_objective_rejected(self):
+        x, y = _toy_1d(n=20)
+        with pytest.raises(ValueError, match=r"^objective must be 'vfe' or 'fic', got 'VFE'$"):
+            simultaneous_optimize(x, y, KernelParams(1.0, 0.3, 0.1), x[:2], "VFE")
+
     def test_gradient_dimension_is_structural(self):
         x, y = _toy_1d(n=40)
         knots = np.array([[0.2], [0.5], [0.8]])

@@ -113,6 +113,13 @@ class TestElbo:
         with pytest.raises(RuntimeError):
             fic_log_marginal(dtc)
 
+    def test_added_knot_must_match_input_width(self):
+        x = np.random.default_rng(3).standard_normal((8, 2))
+        model = fit_sparse(Approximation.DTC, x, np.zeros(8), KernelParams(1.0, 1.0, 0.1), x[:2])
+        with pytest.raises(ValueError,
+                           match=r"^knot dimension 1 does not match input dimension 2$"):
+            model.objective_with_added_knot([0.1])
+
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
         for n in range(4, 11):
