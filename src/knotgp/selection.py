@@ -13,7 +13,10 @@ round, or all of them. The search only runs the optimizer: the start model's
 ``SparseGPModel._ascent`` evaluates each point and builds the result.
 
 Proposals always return a member of the candidate pool; continuous movement
-of a knot happens only inside the gradient step that follows.
+of a knot happens only inside the gradient step that follows. Each probed
+candidate is scored by ``SparseGPModel.objective_with_added_knot``: an exact
+rank-one update for VFE, a rebuild for FIC. The BO surrogate's
+hyperparameters are searched once per proposal, on its initial design.
 """
 
 from __future__ import annotations
@@ -165,11 +168,18 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     Gains from adding each probed candidate (parameters fixed) are modeled
     with a squared exponential surrogate on standardized pool coordinates;
     expected improvement picks the next probe until the budget is spent.
-    Candidates coinciding with an existing knot are never conditioned on;
-    if that excludes everything the proposal falls back to an exhaustive
-    random-subset pass over the full pool.
+    The surrogate's hyperparameters are fitted once, by marginal-likelihood
+    ascent on the ``initial_design`` probes; each later probe re-conditions
+    the exact GP on all probes at those hyperparameters. Candidates
+    coinciding with an existing knot are never conditioned on; if that
+    excludes everything the proposal falls back to an exhaustive
+    random-subset pass over the full pool. Requires
+    ``0 < initial_design < budget``.
     """
     pool = _knot_array(as_input_matrix(candidate_pool, "candidate pool"), model.x)
+    if not 0 < initial_design < budget:
+        raise ValueError(f"require 0 < initial_design < budget, got initial_design="
+                         f"{initial_design} and budget={budget}")
     rng = np.random.default_rng(seed)
 
     eligible = np.flatnonzero(~_coincident(pool, model.knots.locations).any(axis=1))
@@ -188,16 +198,17 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     probed = list(np.sort(rng.choice(eligible, size=initial_design, replace=False)))
     gains = list(_candidate_gains(model, pool, probed))
 
-    surrogate_params = None
+    surrogate = None
     while len(probed) < budget:
         finite_only = [g for g in gains if np.isfinite(g)]
         floor = min(finite_only) if finite_only else 0.0
         finite = np.asarray([g if np.isfinite(g) else floor for g in gains])
-        gvar = max(float(np.var(finite)), 1e-10)
-        if surrogate_params is None:
-            surrogate_params = KernelParams(gvar, 1.0, max(1e-6 * gvar, 1e-12))
-        surrogate = _fit_surrogate(coords[probed], finite, surrogate_params)
-        surrogate_params = surrogate.params
+        if surrogate is None:
+            gvar = max(float(np.var(finite)), 1e-10)
+            surrogate = _fit_surrogate(coords[probed], finite,
+                                       KernelParams(gvar, 1.0, max(1e-6 * gvar, 1e-12)))
+        else:
+            surrogate = full_gp.fit_full(coords[probed], finite, surrogate.params)
         remaining = np.setdiff1d(eligible, probed)
         pred = full_gp.predict_full(surrogate, coords[remaining])
         best = float(np.max(finite))

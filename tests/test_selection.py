@@ -109,6 +109,15 @@ def test_proposals_reject_a_pool_of_another_width(propose):
         propose(model, np.random.default_rng(16).standard_normal((10, 3)))
 
 
+@pytest.mark.parametrize("budget, initial_design", [(0, 0), (5, 0), (5, 5)])
+def test_propose_bo_checks_its_budget(budget, initial_design):
+    x = np.random.default_rng(17).standard_normal((30, 2))
+    model = _toy_model(x, np.sin(x[:, 0]), x[:3])
+    with pytest.raises(ValueError, match=rf"^require 0 < initial_design < budget, got "
+                                         rf"initial_design={initial_design} and budget={budget}$"):
+        propose_bo(model, x, budget=budget, initial_design=initial_design, seed=0)
+
+
 class TestProposeBo:
     def test_budget_covering_pool_is_exhaustive_argmax(self):
         x, y = _toy_1d(n=25)
@@ -146,6 +155,31 @@ class TestProposeBo:
             rs_gain = model.objective_with_added_knot(rs_pick) - base
             wins += bo_gain >= rs_gain
         assert wins >= 16
+
+    def test_one_hyperparameter_search_per_proposal(self, monkeypatch):
+        # the surrogate's hyperparameters are fitted once, on the initial
+        # design; each later probe re-conditions the exact GP at them
+        searches, fits = [], []
+        search, fit = full_gp.fit_hyperparameters, full_gp.fit_full
+
+        def spy_search(*args, **kwargs):
+            searches.append(search(*args, **kwargs))
+            return searches[-1]
+
+        def spy_fit(inputs, targets, params, *args, **kwargs):
+            fits.append((len(targets), params))
+            return fit(inputs, targets, params, *args, **kwargs)
+
+        monkeypatch.setattr(selection.full_gp, "fit_hyperparameters", spy_search)
+        monkeypatch.setattr(selection.full_gp, "fit_full", spy_fit)
+        x, y = _toy_1d(n=60)
+        model = _toy_model(x, y, np.array([[0.2], [0.8]]))
+        propose_bo(model, x, budget=15, initial_design=6, seed=4)
+        assert len(searches) == 1
+        fitted = searches[0][0].params
+        # the search's own closing fit on the design, then one per later probe
+        assert [n for n, _ in fits] == list(range(6, 15))
+        assert all(params == fitted for _, params in fits)
 
     def test_deterministic(self):
         x, y = _toy_1d(n=40)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from knotgp import sparse_gp
 from knotgp import (Approximation, KernelParams, KnotSet, SparseGPModel, elbo,
                     elbo_grad, fic_log_marginal, fit_full, fit_sparse,
                     log_marginal_likelihood, predict_full, predict_sparse,
                     prior_variance_report, psi_cross, psi_diag)
 from knotgp.adadelta import OptimizerConfig
+from knotgp.common import NumericalError
 from knotgp.selection import kmeans_init, simultaneous_optimize
 
 from oracles import (central_difference, dense_elbo, dense_fic_log_marginal,
@@ -127,6 +129,127 @@ class TestElbo:
             model = fit_sparse(Approximation.DTC, x, y, p, knots)
             dense = dense_elbo(x, y, knots, p)
             assert elbo(model) == pytest.approx(dense, rel=1e-8)
+
+
+def _rebuilt_objective(model, location):
+    """What appending ``location`` scores by a fresh build: the objective, or
+    the ``NumericalError`` the build raises."""
+    knots = np.vstack([model.knots.locations, location])
+    try:
+        return SparseGPModel(model.approx, model.x, model.y, model.params, knots,
+                             model.mean_constant).objective()
+    except NumericalError as err:
+        return err
+
+
+def _bordered_cond(knots, location, params):
+    u = np.vstack([knots, location])
+    return np.linalg.cond(se_kernel_matrix(u, u, params)
+                          + params.latent_jitter * np.eye(len(u)))
+
+
+class TestRankOneGain:
+    """``objective_with_added_knot`` on DTC models adds the exact rank-one gain
+    to the model's objective; the rebuild is its oracle and its fallback."""
+
+    def test_matches_rebuild_on_random_instances(self):
+        rng = np.random.default_rng(40)
+        checked = 0
+        for _ in range(60):
+            n, k, d = int(rng.integers(4, 30)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            x, y, knots, p = random_instance(rng, n, k, d,
+                                             jitter_ratio=float(rng.choice([1e-8, 1e-6, 1e-3])))
+            model = SparseGPModel(Approximation.DTC, x, y, p, knots, float(rng.normal()))
+            for location in np.vstack([1.5 * rng.standard_normal((3, d)), x[:2]]):
+                if _bordered_cond(knots, location, p) > 1e6:
+                    continue
+                assert np.isfinite(model._added_knot_gains(location[None])[0])
+                fresh = _rebuilt_objective(model, location)
+                assert abs(model.objective_with_added_knot(location) - fresh) \
+                    <= 1e-10 * (abs(fresh) + 1.0)
+                checked += 1
+        assert checked >= 200
+
+    def test_blocks_agree_with_single_rows(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        x, y, knots, p = random_instance(rng, 40, 5, 3)
+        model = SparseGPModel(Approximation.DTC, x, y, p, knots)
+        pool = np.vstack([x[:6], 1.5 * rng.standard_normal((4, 3))])
+        singles = np.array([model._added_knot_gains(row[None])[0] for row in pool])
+        monkeypatch.setattr(sparse_gp, "GAIN_CHUNK", 3)       # blocks of 3, 3, 3 and 1
+        np.testing.assert_allclose(model._added_knot_gains(pool), singles, rtol=1e-12)
+
+    def test_near_duplicates_against_mp_elbo(self):
+        # both paths round the bordered pivot delta2 ~ jitter alike, so which
+        # one lands nearer the 50-digit value varies from case to case
+        rng = np.random.default_rng(32)
+        fast, rebuilt = [], []
+        for trial in range(8):
+            for jitter_ratio in (1e-9, 1e-8, 1e-6):
+                x, y, knots, p = random_instance(rng, 10, 4, 2, jitter_ratio=jitter_ratio)
+                model = SparseGPModel(Approximation.DTC, x, y, p, knots)
+                for offset in (0.0, 1e-7):
+                    location = knots[trial % 4] + offset * rng.standard_normal(2)
+                    assert np.isfinite(model._added_knot_gains(location[None])[0])
+                    exact = mp_elbo(x, y, np.vstack([knots, location]), p)
+                    scale = abs(exact) + 1.0
+                    fast.append(abs(model.objective_with_added_knot(location) - exact) / scale)
+                    rebuilt.append(abs(_rebuilt_objective(model, location) - exact) / scale)
+        assert max(fast) <= 1e-10
+        assert max(fast) <= 3.0 * max(rebuilt)
+
+    @staticmethod
+    def _assert_rebuilds(monkeypatch, model, locations, rank_one_runs=False):
+        """Each location scores the rebuild's value, bit for bit, or raises its
+        ``NumericalError``, from exactly one build; the rank-one pass runs
+        only if ``rank_one_runs``."""
+        expected = [_rebuilt_objective(model, location) for location in locations]
+        builds = []
+        build = SparseGPModel._build
+
+        def counted_build(self):
+            builds.append(len(self.knots))
+            return build(self)
+
+        def no_rank_one(self, locations):
+            raise AssertionError("the rank-one pass ran")
+
+        monkeypatch.setattr(SparseGPModel, "_build", counted_build)
+        if not rank_one_runs:
+            monkeypatch.setattr(SparseGPModel, "_added_knot_gains", no_rank_one)
+        for location, rebuilt in zip(locations, expected):
+            builds.clear()
+            if isinstance(rebuilt, NumericalError):
+                with pytest.raises(NumericalError, match=str(rebuilt)):
+                    model.objective_with_added_knot(location)
+            else:
+                value = model.objective_with_added_knot(location)
+                assert np.float64(value).tobytes() == np.float64(rebuilt).tobytes()
+            assert builds == [model.n_knots + 1]
+
+    def test_ridge_fired_model_rebuilds(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((20, 2))
+        # an exact duplicate at zero jitter and s2 = 1 leaves a zero pivot
+        model = SparseGPModel(Approximation.DTC, x, rng.standard_normal(20),
+                              KernelParams(1.0, 1.0, 0.1, latent_jitter=0.0),
+                              np.vstack([x[0], x[0], x[5]]))
+        assert model.diagnostics["near_singular_factorizations"] > 0
+        self._assert_rebuilds(monkeypatch, model, [x[7], x[5]])
+
+    def test_zero_jitter_candidate_on_a_knot_rebuilds(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        x, y, knots, p = random_instance(rng, 20, 4, 2, jitter_ratio=0.0)
+        model = SparseGPModel(Approximation.DTC, x, y, p, knots)
+        assert not model.diagnostics
+        assert np.isnan(model._added_knot_gains(knots)).all()
+        self._assert_rebuilds(monkeypatch, model, knots, rank_one_runs=True)
+
+    def test_fic_rebuilds(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        x, y, knots, p = random_instance(rng, 25, 3, 2)
+        model = SparseGPModel(Approximation.FIC, x, y, p, knots, 0.2)
+        self._assert_rebuilds(monkeypatch, model, [x[3], 1.5 * rng.standard_normal(2)])
 
 
 class TestElboGrad:
