@@ -66,30 +66,40 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
                label: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a symmetric PSD matrix.
 
-    The input is symmetrized before factorization; a non-finite entry raises
-    ``ValueError``. The factor comes from LAPACK ``dpotrf`` called directly,
-    the same routine ``scipy.linalg.cholesky`` wraps, with its upper triangle
-    zeroed. If ``escalations`` > 0 and the factorization fails, a ridge
-    starting at 1e-12 times the mean diagonal is added and grown a
+    The input is left unmodified and symmetrized into one new array; a
+    non-finite entry raises ``ValueError``. The factor comes from LAPACK
+    ``dpotrf`` called directly, the same routine ``scipy.linalg.cholesky``
+    wraps, with its upper triangle zeroed. ``dpotrf`` factors the symmetrized
+    array in place: it is exactly symmetric, so its transpose is the same
+    matrix in Fortran order and needs no second copy. If ``escalations`` > 0
+    and the factorization fails, the symmetrized array is formed again and a
+    ridge starting at 1e-12 times the mean diagonal is added, grown a
     hundredfold per retry; each failed attempt bumps the
     ``near_singular_factorizations`` counter in ``diagnostics``. Raises
     :class:`NumericalError`, carrying the ridge of the last attempt, once
     retries are exhausted.
     """
-    sym = 0.5 * (matrix + matrix.T)
+    def symmetrized():
+        sym = matrix + matrix.T
+        sym *= 0.5
+        return sym
+
+    sym = symmetrized()
     if not np.isfinite(sym).all():
         raise ValueError(f"{label} contains non-finite entries")
     ridge = 0.0
     for attempt in range(escalations + 1):
-        if attempt == 1:
-            scale = float(sym.diagonal().mean())
-            if not np.isfinite(scale) or scale <= 0.0:
-                scale = 1.0
-            ridge = 1e-12 * scale
-        elif attempt > 1:
-            ridge *= 100.0
-        shifted = sym if ridge == 0.0 else sym + ridge * np.eye(sym.shape[0])
-        factor, info = dpotrf(shifted, lower=1, clean=1)
+        if attempt:
+            sym = symmetrized()                  # the failed attempt overwrote it
+            if attempt == 1:
+                scale = float(sym.diagonal().mean())
+                if not np.isfinite(scale) or scale <= 0.0:
+                    scale = 1.0
+                ridge = 1e-12 * scale
+            else:
+                ridge *= 100.0
+            sym += ridge * np.eye(sym.shape[0])
+        factor, info = dpotrf(sym.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return factor
         if info < 0:
@@ -101,10 +111,14 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
     raise NumericalError(f"Cholesky factorization of {label} failed", attempted_jitter=ridge)
 
 
-def tri_solve(factor: np.ndarray, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+def tri_solve(factor: np.ndarray, rhs: np.ndarray, trans: bool = False,
+              _overwrite: bool = False) -> np.ndarray:
     """``factor^{-1} rhs``, or ``factor^{-T} rhs`` with ``trans``, for a lower
     triangular ``factor`` with a positive diagonal, such as one returned by
-    :func:`chol_lower`. ``rhs`` is a vector or a matrix and is not modified.
+    :func:`chol_lower`. ``rhs`` is a vector or a matrix and is not modified,
+    unless the private ``_overwrite`` lets the solve write into a C-contiguous
+    ``rhs`` instead of a copy, with the same bits; use the returned array
+    either way.
 
     No finiteness check is made: both arguments must derive from inputs that
     were validated already. The solve runs as ``X op(factor)^T = rhs^T`` with
@@ -113,7 +127,8 @@ def tri_solve(factor: np.ndarray, rhs: np.ndarray, trans: bool = False) -> np.nd
     K x N matrices of the sparse models do.
     """
     rhs_t = rhs.T if rhs.ndim == 2 else rhs[None, :]
-    out = dtrsm(1.0, factor, rhs_t, side=1, lower=1, trans_a=0 if trans else 1)
+    out = dtrsm(1.0, factor, rhs_t, side=1, lower=1, trans_a=0 if trans else 1,
+                overwrite_b=_overwrite)
     return out.T if rhs.ndim == 2 else out[0]
 
 

@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dpotri
 from .adadelta import MaximizeResult, OptimizerConfig, maximize
 from .common import (LOG_2PI, NumericalError, PredictiveDistribution, _clamped_prediction,
                      _test_inputs, _training_data, chol_lower, tri_solve)
-from .kernels import KernelParams, _kernel, squared_distances
+from .kernels import KernelParams, _kernel, _row_norms, _squared_distances, squared_distances
 
 
 @dataclass
@@ -152,13 +152,16 @@ def predict_full(model: FullGPModel, test_inputs) -> PredictiveDistribution:
     """Marginal latent mean/variance per test point, plus the noisy variant.
 
     Negative round-off variances are clamped at zero; the number of clamps is
-    recorded in ``model.diagnostics['negative_variance_clamps']``.
+    recorded in ``model.diagnostics['negative_variance_clamps']``. The test
+    rows are validated once, and the cross-kernel is formed and solved in
+    one N x m buffer.
     """
     xt = _test_inputs(test_inputs, model.train_inputs)
     params = model.params
-    cross = _kernel(squared_distances(model.train_inputs, xt), params)
+    d2 = _squared_distances(model.train_inputs, xt, _row_norms(xt))
+    cross = _kernel(d2, params, out=d2)
     mean = model.mean_constant + cross.T @ model.alpha
-    half = tri_solve(model.chol, cross)
+    half = tri_solve(model.chol, cross, _overwrite=True)
     prior_var = params.signal_variance + params.latent_jitter
     var = prior_var - np.einsum("nj,nj->j", half, half)
     return _clamped_prediction(mean, var, params.noise_variance, model.diagnostics)

@@ -92,15 +92,24 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 def _squared_distances(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """:func:`squared_distances` for finite float matrices of equal width,
-    given ``b``'s :func:`_row_norms`; makes no checks, so a caller that
-    reuses ``b`` can validate it and compute its norms once."""
-    d2 = _row_norms(a)[:, None] - 2.0 * (a @ b.T) + b_sq[None, :]
+    given ``b``'s squared row norms; makes no checks, so a caller that
+    reuses ``b`` can validate it and compute its norms once.
+
+    The steps run in place on the one new array ``a @ b.T``, as the same
+    IEEE operations in the same order as ``|a|^2 - 2 a.b + |b|^2``, so the
+    result does not depend on which of the two forms computed it."""
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += _row_norms(a)[:, None]
+    d2 += b_sq[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kernel(d2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """``s2 * exp(-d2 / (2 ell^2))`` from squared distances, in one new array."""
-    kmat = -0.5 * d2
+def _kernel(d2: np.ndarray, params: KernelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """``s2 * exp(-d2 / (2 ell^2))`` from squared distances, in one new array,
+    or in ``out``, which may be ``d2`` itself when its distances are no
+    longer needed."""
+    kmat = np.multiply(d2, -0.5, out=out)
     kmat /= params.lengthscale ** 2
     np.exp(kmat, out=kmat)
     kmat *= params.signal_variance

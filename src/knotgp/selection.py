@@ -197,6 +197,9 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
 
     probed = list(np.sort(rng.choice(eligible, size=initial_design, replace=False)))
     gains = list(_candidate_gains(model, pool, probed))
+    unprobed = np.zeros(pool.shape[0], dtype=bool)
+    unprobed[eligible] = True
+    unprobed[probed] = False
 
     surrogate = None
     while len(probed) < budget:
@@ -209,7 +212,7 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
                                        KernelParams(gvar, 1.0, max(1e-6 * gvar, 1e-12)))
         else:
             surrogate = full_gp.fit_full(coords[probed], finite, surrogate.params)
-        remaining = np.setdiff1d(eligible, probed)
+        remaining = np.flatnonzero(unprobed)
         pred = full_gp.predict_full(surrogate, coords[remaining])
         best = float(np.max(finite))
         xi = 0.01 * float(np.std(finite))
@@ -223,6 +226,7 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
                       np.maximum(shift, 0.0))
         pick = remaining[int(np.argmax(ei))]      # argmax takes the lowest index on ties
         probed.append(int(pick))
+        unprobed[pick] = False
         gains.extend(_candidate_gains(model, pool, [pick]))
 
     best_idx = probed[int(np.argmax(gains))]

@@ -53,6 +53,16 @@ log-s2 direction exact.
 The gradient ascent's search vector, its evaluation and the knots' distance
 buffers it updates in place all live in :meth:`SparseGPModel._ascent`.
 
+Prediction at test points with whitened cross covariances ``v = L^{-1} k``
+needs one triangular solve: the mean is ``m + v^T c`` with
+``c = B~^{-1} V (r / lam)`` from the build, and the latent variance is
+
+    (s2 + jitter) - v^T (I - B~^{-1}) v
+
+``B~^{-1}`` is cached lazily and read-only: the gradient or the first
+prediction forms it, once per model, and an evaluation of the objective
+alone never does.
+
 Appending one knot ``u`` with the parameters fixed borders ``L`` with
 ``l = L^{-1} k_u`` and the pivot ``delta = sqrt(delta2)``,
 ``delta2 = s2 + jitter - ||l||^2``, and appends the whitened row
@@ -75,6 +85,7 @@ matrix; and a candidate with ``delta2 <= PIVOT_FLOOR * (s2 + jitter)``, where
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +203,10 @@ class SparseGPModel:
 
     The model is immutable after construction: objective evaluation,
     gradients and prediction are read-only. Building a variant with
-    different knots or parameters constructs a fresh model.
+    different knots or parameters constructs a fresh model. Derived matrices
+    that only the gradient and prediction need, such as ``B~^{-1}``, are
+    cached lazily on first use, read-only, so an evaluation that asks only
+    for the objective never forms them.
     """
 
     def __init__(self, approx: Approximation, x, y, params: KernelParams, knots,
@@ -404,10 +418,15 @@ class SparseGPModel:
         init = np.concatenate([params.log_vector(), kn[rows].reshape(-1)])
         return objective_with_grad, init, model_at
 
+    @functools.cached_property
     def _b_inverse(self) -> np.ndarray:
-        """B~^{-1}, which is well conditioned: its eigenvalues lie in (0, 1]."""
+        """B~^{-1}, read-only, formed on first use by the gradient or
+        :meth:`predict`, never by :meth:`_build`; it is well conditioned: its
+        eigenvalues lie in (0, 1]."""
         half = tri_solve(self._lb, np.eye(self._lb.shape[0]))
-        return half.T @ half
+        binv = half.T @ half
+        binv.flags.writeable = False
+        return binv
 
     def _dtc_adjoint(self, rows, w, va, g):
         """Log-s2 and log-tau2 derivatives of the variational objective with
@@ -428,7 +447,7 @@ class SparseGPModel:
         v, luu, alpha = self._v, self._luu, self._alpha
         k = v.shape[0]
 
-        e = np.eye(k) - self._b_inverse()
+        e = np.eye(k) - self._b_inverse
         tr_e = float(e.trace())
         le = tri_solve(luu, e, trans=True)
         # B~ - 2I + B~^{-1} = F^T F with F = L_B^{-1} (B~ - I)
@@ -461,7 +480,7 @@ class SparseGPModel:
         v, luu, lam, alpha = self._v, self._luu, self._lam, self._alpha
         k = v.shape[0]
 
-        binv = self._b_inverse()
+        binv = self._b_inverse
         bv = binv @ v
         sbs = np.einsum("kn,kn->n", v, bv)                      # (S^T B^{-1} S)_ii
         lam_bar = -0.5 * ((1.0 - sbs / lam) / lam - alpha ** 2)
@@ -498,18 +517,21 @@ class SparseGPModel:
         and each variant's own ``B~``/``lam``, both reduce to
 
             mean_j = m + v_j^T B~^{-1} V (r / lam)
-            var_j  = (s2 + jitter) - ||v_j||^2 + ||L_B^{-1} v_j||^2
+            var_j  = (s2 + jitter) - v_j^T (I - B~^{-1}) v_j
 
-        FIC marginals coincide with FITC's.
+        FIC marginals coincide with FITC's. Each call validates the test rows
+        once and makes one triangular solve: the distances, the kernel and
+        ``v`` share one K x m buffer, and the variance takes one K x K x m
+        product with the cached ``B~^{-1}``.
         """
         xt = _test_inputs(test_inputs, self.x)
         params = self.params
-        kut = _kernel(squared_distances(self.knots.locations, xt), params)
-        vt = tri_solve(self._luu, kut)
+        d2 = _squared_distances(self.knots.locations, xt, np.einsum("jd,jd->j", xt, xt))
+        vt = tri_solve(self._luu, _kernel(d2, params, out=d2), _overwrite=True)
         mean = self.mean_constant + self._c @ vt
-        wt = tri_solve(self._lb, vt)
-        var = (params.signal_variance + params.latent_jitter
-               - np.einsum("kj,kj->j", vt, vt) + np.einsum("kj,kj->j", wt, wt))
+        quad = (np.eye(vt.shape[0]) - self._b_inverse) @ vt
+        quad *= vt
+        var = params.signal_variance + params.latent_jitter - quad.sum(axis=0)
         return _clamped_prediction(mean, var, params.noise_variance, self.diagnostics)
 
 

@@ -96,6 +96,59 @@ def mp_elbo(x, y, knots, params, mean_constant=0.0, with_grad=False, dps=50):
         return out, grad
 
 
+def mp_predict(approx, x, y, knots, x_test, params, mean_constant=0.0, dps=50):
+    """DTC or FIC (``approx`` in {"dtc", "fic"}) marginal predictive moments
+    in ``dps``-digit mpmath arithmetic, for tiny cases too ill-conditioned
+    for :func:`dense_predict`.
+
+    The float inputs are taken as exact. With ``lam`` the likelihood
+    diagonal and ``A = Suu + S diag(1/lam) S^T``, the moments at a test
+    point with ``k = cov(knots, t)`` are
+
+        mean = m + k^T A^{-1} S (r / lam)
+        var  = (s2 + jitter) - k^T Suu^{-1} k + k^T A^{-1} k
+    """
+    import mpmath
+
+    x, x_test = np.atleast_2d(x), np.atleast_2d(x_test)
+    knots = np.atleast_2d(knots)
+    k = len(knots)
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        s2, jitter = mpf(params.signal_variance), mpf(params.latent_jitter)
+        ell2, tau2 = mpf(params.lengthscale) ** 2, mpf(params.noise_variance)
+
+        def rows(a):
+            return [[mpf(v) for v in row] for row in np.asarray(a, dtype=float).tolist()]
+
+        u, xs, ts = rows(knots), rows(x), rows(x_test)
+
+        def kern(a, b):
+            return s2 * mpmath.exp(-mpmath.fsum((p - q) ** 2 for p, q in zip(a, b))
+                                   / (2 * ell2))
+
+        suu = mpmath.matrix([[kern(u[i], u[j]) + (jitter if i == j else 0)
+                              for j in range(k)] for i in range(k)])
+        s = mpmath.matrix([[kern(u[i], p) for p in xs] for i in range(k)])
+        if approx == "fic":
+            lam = [s2 + jitter - mpmath.fdot(s[:, n], mpmath.lu_solve(suu, s[:, n])) + tau2
+                   for n in range(len(xs))]
+        else:
+            lam = [tau2] * len(xs)
+        weighted = mpmath.matrix([[s[i, n] / lam[n] for n in range(len(xs))]
+                                  for i in range(k)])
+        a = suu + weighted * s.T
+        resid = [mpf(v) - mpf(mean_constant) for v in np.asarray(y, dtype=float).tolist()]
+        a_sr = mpmath.lu_solve(a, weighted * mpmath.matrix(resid))
+        mean, var = np.empty(len(ts)), np.empty(len(ts))
+        for j, t in enumerate(ts):
+            kt = mpmath.matrix([kern(p, t) for p in u])
+            mean[j] = float(mpf(mean_constant) + mpmath.fdot(kt, a_sr))
+            var[j] = float(s2 + jitter - mpmath.fdot(kt, mpmath.lu_solve(suu, kt))
+                           + mpmath.fdot(kt, mpmath.lu_solve(a, kt)))
+    return mean, var
+
+
 def dense_fic_log_marginal(x, y, knots, params, mean_constant=0.0):
     n = len(y)
     psi = dense_psi(x, x, knots, params)

@@ -65,6 +65,21 @@ class TestCholLower:
         np.testing.assert_allclose(factor @ factor.T, a + ridges[-1] * np.eye(len(a)),
                                    rtol=0.0, atol=1e-12 * np.max(np.abs(a)))
 
+    @pytest.mark.parametrize("case", ["first attempt", "after a ridge retry"])
+    def test_input_left_unmodified(self, case):
+        # the factorization overwrites the symmetrized copy, never the input
+        if case == "first attempt":
+            a = _spd(np.random.default_rng(2), 6)
+        else:
+            a = np.diag([1.0, 1.0, -1e-9])
+            a[0, 1] = 1e-10                             # asymmetric, so a != its copy
+        before = a.copy()
+        diagnostics = {}
+        factor = chol_lower(a, escalations=3, diagnostics=diagnostics)
+        assert a.tobytes() == before.tobytes()
+        assert ("near_singular_factorizations" in diagnostics) == (case != "first attempt")
+        assert not np.shares_memory(factor, a)
+
     def test_escalations_exhausted(self):
         # the error carries the ridge of the last attempt: none without
         # escalation, else 1e-12 (the mean diagonal is 0, so the scale is 1)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from knotgp.common import NumericalError
 from knotgp.selection import kmeans_init, simultaneous_optimize
 
 from oracles import (central_difference, dense_elbo, dense_fic_log_marginal,
-                     dense_predict, dense_psi, mp_elbo, random_instance,
+                     dense_predict, dense_psi, mp_elbo, mp_predict, random_instance,
                      se_kernel_matrix)
 
 
@@ -472,6 +474,105 @@ class TestPredictSparse:
                            [[0.0, 0.0]])
         with pytest.raises(ValueError):
             predict_sparse(model, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    @pytest.mark.parametrize("case", ["well conditioned", "near-duplicate knots",
+                                      "small noise"])
+    def test_matches_mp_predict(self, approx, case):
+        rng = np.random.default_rng(43)
+        x, y, knots, p = random_instance(rng, 10, 4, 2)
+        if case == "near-duplicate knots":
+            knots = np.vstack([knots, knots[1] + 1e-7 * rng.standard_normal(2)])
+        elif case == "small noise":
+            # knots on data rows give B~ eigenvalues near 1 / tau2, a knot far
+            # from the data one near 1
+            knots = np.vstack([x[:4], [6.0, 0.0]])
+            p = KernelParams(p.signal_variance, p.lengthscale, 1e-4,
+                             latent_jitter=p.latent_jitter)
+        model = fit_sparse(approx, x, y, p, knots)
+        assert not model.diagnostics
+        if case == "near-duplicate knots":
+            assert np.linalg.cond(model._luu @ model._luu.T) >= 1e8
+        elif case == "small noise":
+            assert np.linalg.cond(model._lb @ model._lb.T) >= 1e4
+        xt = np.vstack([1.5 * rng.standard_normal((5, 2)), knots + 1e-3])
+        pred = model.predict(xt)
+        mean, var = mp_predict(approx.value, x, y, knots, xt, p)
+        tol = 1e-12 * (p.signal_variance + p.latent_jitter)
+        assert np.max(np.abs(pred.latent_mean - mean)) <= tol
+        assert np.max(np.abs(pred.latent_variance - var)) <= tol
+        if case == "well conditioned":
+            # the float64 oracle confirms the 50-digit one where it can
+            dense_mean, dense_var = dense_predict(approx.value, x, y, knots, xt, p)
+            np.testing.assert_allclose(dense_mean, mean, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(dense_var, var, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    def test_chunks_concatenate_bitwise(self, approx):
+        # split at a multiple of the 1,024-row chunks the benchmark serves in;
+        # a split at an odd row can move the last bit through the remainder
+        # paths of the BLAS kernels, in this predict as in the one before it
+        rng = np.random.default_rng(44)
+        x, y, knots, p = random_instance(rng, 40, 12, 3)
+        model = fit_sparse(approx, x, y, p, knots)
+        xt = 1.5 * rng.standard_normal((2048, 3))
+        whole = model.predict(xt)
+        first, second = model.predict(xt[:1024]), model.predict(xt[1024:])
+        for name in ("latent_mean", "latent_variance", "noisy_variance"):
+            joined = np.concatenate([getattr(first, name), getattr(second, name)])
+            assert joined.tobytes() == getattr(whole, name).tobytes()
+
+
+class TestBInverseCache:
+    """``B~^{-1}`` is formed lazily, once per model, and shared read-only by
+    the gradient and prediction."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        formed = []
+        original = SparseGPModel.__dict__["_b_inverse"].func
+
+        def counted(model):
+            formed.append(model)
+            return original(model)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(SparseGPModel, "_b_inverse")
+        monkeypatch.setattr(SparseGPModel, "_b_inverse", cached)
+        return formed
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    def test_objective_never_forms_it(self, monkeypatch, approx):
+        formed = self._counted(monkeypatch)
+        x, y, knots, p = random_instance(np.random.default_rng(45), 12, 4, 2)
+        model = SparseGPModel(approx, x, y, p, knots)
+        model.objective()
+        objective_with_grad, init, model_at = model._ascent(0)
+        model_at(init).objective()
+        assert formed == []
+        objective_with_grad(init)
+        assert len(formed) == 1 and formed[0] is not model
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    def test_formed_once_and_shared(self, monkeypatch, approx):
+        formed = self._counted(monkeypatch)
+        x, y, knots, p = random_instance(np.random.default_rng(46), 12, 4, 2)
+        model = SparseGPModel(approx, x, y, p, knots)
+        xt = np.random.default_rng(47).standard_normal((7, 2))
+        first = model.predict(xt)
+        second = model.predict(xt)
+        model.objective_grad(all_knots=True)
+        assert formed == [model]
+        assert first.latent_variance.tobytes() == second.latent_variance.tobytes()
+
+    def test_read_only(self):
+        x, y, knots, p = random_instance(np.random.default_rng(48), 12, 4, 2)
+        model = SparseGPModel(Approximation.DTC, x, y, p, knots)
+        binv = model._b_inverse
+        assert binv is model._b_inverse
+        assert not binv.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            binv[0, 0] = 0.0
 
 
 class TestPriorVarianceReport:

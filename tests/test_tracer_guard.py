@@ -1,7 +1,8 @@
 """The benchmark's tracer patches knotgp by name (``SparseGPModel._build``,
-``objective_grad``, ``fit_full``, ...). Installing it here, read-only from
-``perfbench/tracing.py``, catches a rename that would break every traced
-benchmark run."""
+``objective_grad``, ``predict``, ``fit_full``, ``predict_full``, ...).
+Installing it here, read-only from ``perfbench/tracing.py``, catches a rename
+that would break every traced benchmark run, or silently blind the metrics
+that come from a wrapper, such as the prediction throughput."""
 
 import importlib.util
 import sys
@@ -19,12 +20,18 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     from knotgp import full_gp, selection
     from knotgp.sparse_gp import SparseGPModel
 
-    originals = (SparseGPModel._build, selection.oat_select, full_gp.fit_full)
+    def current():
+        return (SparseGPModel._build, SparseGPModel.predict, selection.oat_select,
+                full_gp.fit_full, full_gp.predict_full)
+
+    originals = current()
     tracer = tracing.Tracer()
     with tracer.installed():
         patched = {(getattr(owner, "__name__", ""), attr) for owner, attr, _, _ in tracer.patches}
         assert ("SparseGPModel", "_build") in patched
+        assert ("SparseGPModel", "predict") in patched
         assert ("knotgp.selection", "oat_select") in patched
-        assert SparseGPModel._build is not originals[0]
+        assert ("knotgp.full_gp", "predict_full") in patched
+        assert all(now is not before for now, before in zip(current(), originals))
     assert not tracer.patches
-    assert (SparseGPModel._build, selection.oat_select, full_gp.fit_full) == originals
+    assert current() == originals
