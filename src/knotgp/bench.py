@@ -275,14 +275,15 @@ def _fit_entry(entry: RosterEntry, config: ExperimentConfig, dataset: Dataset,
     """Fit one roster entry to a run's training split.
 
     ``fitted`` maps the model ids fitted earlier in the run to their models.
-    Returns ``(model, objective, history, selection trace or None)``, where
-    ``history`` lists ``{"knots", "objective"}`` from the first objective
-    recorded to the last.
+    Returns ``(model, objective, history, details)``, where ``history`` lists
+    ``{"knots", "objective"}`` from the first objective recorded to the last,
+    and ``details`` holds the OAT selection trace, or the stop reason and
+    step count of a FullGP or Simult search.
     """
     x, y = dataset.x_train, dataset.y_train
     if entry.approximation == "FullGP":
         model, res = full_gp.fit_hyperparameters(x, y, config.init_params, config.optimizer)
-        return model, res.fun, [{"knots": 0, "objective": res.fun}], None
+        return model, res.fun, *_search_record(0, res)
     objective = entry.approximation.lower()
     if entry.knot_selection != "Simult":
         proposal = "bo" if entry.knot_selection == "OAT-BO" else "rs"
@@ -290,7 +291,7 @@ def _fit_entry(entry: RosterEntry, config: ExperimentConfig, dataset: Dataset,
         model, trace = oat_select(x, y, config.init_params, oat, config.optimizer)
         history = [{"knots": step.knot_count, "objective": step.objective_after}
                    for step in trace.steps]
-        return model, model.objective(), history, trace.to_dict()
+        return model, model.objective(), history, {"selection": trace.to_dict()}
     if entry.knot_init == "kmeans":
         # the knot count follows the last earlier OAT-BO entry, preferring one
         # with the same approximation
@@ -311,8 +312,14 @@ def _fit_entry(entry: RosterEntry, config: ExperimentConfig, dataset: Dataset,
         source = fitted[entry.knot_init.split(":", 1)[1]]
         knots0, params0 = source.knots.locations.copy(), source.params
     model, res = simultaneous_optimize(x, y, params0, knots0, objective, config.optimizer)
-    history = [{"knots": knots0.shape[0], "objective": float(v)} for v in res.trace]
-    return model, res.fun, history, None
+    return model, res.fun, *_search_record(knots0.shape[0], res)
+
+
+def _search_record(knots: int, res):
+    """``(history, details)`` of one optimizer search: a history entry per
+    objective value in its trace, then its step count and stop reason."""
+    return ([{"knots": knots, "objective": float(v)} for v in res.trace],
+            {"n_steps": res.n_steps, "stop_reason": res.stop_reason})
 
 
 def run_experiment(config: ExperimentConfig):
@@ -328,8 +335,8 @@ def run_experiment(config: ExperimentConfig):
             logger.info("run %d: fitting %s", run_index, entry.model_id)
             try:
                 start = time.perf_counter()
-                model, objective, history, selection = _fit_entry(entry, config, dataset,
-                                                                   seed, fitted)
+                model, objective, history, details = _fit_entry(entry, config, dataset,
+                                                                 seed, fitted)
                 seconds = time.perf_counter() - start
                 pred = (full_gp.predict_full(model, dataset.x_test)
                         if entry.approximation == "FullGP" else model.predict(dataset.x_test))
@@ -348,9 +355,7 @@ def run_experiment(config: ExperimentConfig):
                 knot_count=0 if knots is None else knots.shape[0],
             )
             trace = {"history": history, "objective": objective,
-                     "objective_before": history[0]["objective"]}
-            if selection is not None:
-                trace["selection"] = selection
+                     "objective_before": history[0]["objective"], **details}
             results.append(RunResult(run_index, entry.model_id, report, model.params,
                                      knots, trace))
 

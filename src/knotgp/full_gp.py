@@ -9,13 +9,14 @@ kernel matrix and forms the full inverse from the factor with one LAPACK
 ``potri``, whose lower triangle is mirrored through a cached mask.
 
 The hyperparameter search behind the BO surrogate and the FullGP roster
-entry evaluates in a lean path: the inputs are validated and their squared
-distances formed once, and each step is one kernel matrix from
-``kernels._kernel``, the noise diagonal added in place, one factorization,
-two triangular solves and one ``potri``, with no model object built. It
-shares :func:`_factorize` with :func:`fit_full`, and
-:func:`_log_density_and_grad` with :func:`log_marginal_likelihood`, so its
-values are those of the public pair to the bit.
+entry runs BFGS by default (the surrogate asks for ADADELTA) and evaluates
+in a lean path: the inputs are validated and their squared distances formed
+once, and each evaluation is one kernel matrix from ``kernels._kernel``, the
+noise diagonal added in place, one factorization, two triangular solves and
+one ``potri``, with no model object built. It shares :func:`_factorize`
+with :func:`fit_full`, and :func:`_log_density_and_grad` with
+:func:`log_marginal_likelihood`, so its values are those of the public pair
+to the bit.
 """
 
 from __future__ import annotations
@@ -78,10 +79,12 @@ def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPMo
 
 
 def fit_hyperparameters(x, y, init_params: KernelParams,
-                        optimizer_config: OptimizerConfig
+                        optimizer_config: OptimizerConfig, *, method: str = "bfgs"
                         ) -> tuple[FullGPModel, MaximizeResult]:
     """Maximize the log marginal likelihood of a zero-mean exact GP over
-    (log s2, log ell, log tau2), starting from ``init_params``.
+    (log s2, log ell, log tau2), starting from ``init_params``, by the
+    :func:`~knotgp.adadelta.maximize` ``method``: BFGS by default, which
+    converges in about a dozen evaluations on this three-parameter problem.
 
     The inputs are validated and their squared distances computed once for
     the whole search; the jitter keeps its ratio to the signal variance.
@@ -98,7 +101,7 @@ def fit_hyperparameters(x, y, init_params: KernelParams,
         factor, alpha = _factorize(kmat, y, params)
         return _log_density_and_grad(factor, alpha, y, kmat, d2, params, True)
 
-    result = maximize(objective, init_params.log_vector(), optimizer_config)
+    result = maximize(objective, init_params.log_vector(), optimizer_config, method=method)
     return fit_full(x, y, init_params.with_log_vector(result.x)), result
 
 

@@ -16,7 +16,8 @@ Proposals always return a member of the candidate pool; continuous movement
 of a knot happens only inside the gradient step that follows. Each probed
 candidate is scored by ``SparseGPModel.objective_with_added_knot``: an exact
 rank-one update for VFE, a rebuild for FIC. The BO surrogate's
-hyperparameters are searched once per proposal, on its initial design.
+hyperparameters are searched once per proposal, on its initial design, by a
+150-step ADADELTA ascent (see :func:`_fit_surrogate` for why not BFGS).
 """
 
 from __future__ import annotations
@@ -153,10 +154,19 @@ def propose_rs(model: SparseGPModel, candidate_pool, subset_size: int, seed) -> 
 
 def _fit_surrogate(inputs: np.ndarray, gains: np.ndarray, init_params: KernelParams):
     """The proposal surrogate, with hyperparameters by marginal-likelihood
-    ascent, or at ``init_params`` if that search fails."""
+    ascent, or at ``init_params`` if that search fails.
+
+    The search stays on ADADELTA capped at 150 steps, short of the
+    likelihood's optimum: its early stop acts as a regularizer. Searching to
+    the optimum by BFGS raised the mean regret of ``tests/regret_suite.py``
+    by +0.0145 for FIC (95% state-bootstrap interval [-0.0013, +0.0297];
+    seeds 1-12, 60 states, 240 cases) and by +0.0101 for VFE
+    ([-0.0111, +0.0297]; seeds 1-6, 30 states, 120 cases).
+    """
     cfg = OptimizerConfig(max_steps=150, rel_tol=1e-4, patience=5)
     try:
-        return full_gp.fit_hyperparameters(inputs, gains, init_params, cfg)[0]
+        return full_gp.fit_hyperparameters(inputs, gains, init_params, cfg,
+                                           method="adadelta")[0]
     except (NumericalError, ValueError):
         return full_gp.fit_full(inputs, gains, init_params)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from knotgp import NumericalError
+from knotgp import NumericalError, adadelta
 from knotgp.adadelta import (MaximizeResult, OptimState, OptimizerConfig,
                              adadelta_step, maximize)
 
@@ -236,3 +236,151 @@ class TestMaximizeMatchesStepLoop:
     def test_gradient_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="lengths must agree"):
             maximize(lambda v: (0.0, np.zeros(v.size + 1)), np.zeros(2), OptimizerConfig())
+
+
+def _rosenbrock(v):
+    """The negated Rosenbrock function, maximized at (1, 1)."""
+    a, b = 1.0 - v[0], v[1] - v[0] ** 2
+    return -(a * a + 100.0 * b * b), np.array([2.0 * a + 400.0 * v[0] * b, -200.0 * b])
+
+
+def _after_calls(objective, calls, spoil):
+    """``objective``, with ``spoil`` applied to its (value, gradient) from
+    evaluation ``calls + 1`` on."""
+    count = [0]
+
+    def fg(v):
+        count[0] += 1
+        value, grad = objective(v)
+        return spoil(value, grad) if count[0] > calls else (value, grad)
+    return fg
+
+
+class TestBfgs:
+    TIGHT = OptimizerConfig(max_steps=200, rel_tol=1e-15)
+
+    @staticmethod
+    def _check_contract(res, objective):
+        assert res.trace.shape == (res.n_steps + 1,)
+        assert np.all(np.diff(res.trace) > 0.0)
+        assert res.fun == res.trace[-1]
+        assert objective(res.x)[0] == res.fun
+
+    def test_concave_quadratic_reaches_its_maximizer(self):
+        rng = np.random.default_rng(5)
+        root = rng.standard_normal((4, 4))
+        precision = root @ root.T + 0.5 * np.eye(4)
+        target = rng.uniform(-2.0, 2.0, 4)
+
+        def fg(v):
+            diff = v - target
+            return -0.5 * float(diff @ precision @ diff), -precision @ diff
+
+        res = maximize(fg, np.zeros(4), self.TIGHT, method="bfgs")
+        assert res.stop_reason == "converged"
+        np.testing.assert_allclose(res.x, target, atol=1e-6)
+        assert res.n_steps < 40
+        self._check_contract(res, fg)
+
+    def test_rosenbrock_converges_to_one_one(self):
+        res = maximize(_rosenbrock, np.array([-1.2, 1.0]), self.TIGHT, method="bfgs")
+        assert res.stop_reason == "converged"
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-5)
+        self._check_contract(res, _rosenbrock)
+
+    def test_max_steps_caps_iterations(self):
+        for steps in (1, 4, 9):
+            res = maximize(_rosenbrock, np.array([-1.2, 1.0]),
+                           OptimizerConfig(max_steps=steps, rel_tol=1e-15), method="bfgs")
+            assert res.stop_reason == "max_steps"
+            assert res.n_steps == steps
+            self._check_contract(res, _rosenbrock)
+
+    def test_rel_tol_stops_on_a_small_increase(self):
+        loose = maximize(_rosenbrock, np.array([-1.2, 1.0]),
+                         OptimizerConfig(max_steps=200, rel_tol=1e-2), method="bfgs")
+        tight = maximize(_rosenbrock, np.array([-1.2, 1.0]), self.TIGHT, method="bfgs")
+        assert loose.stop_reason == "converged"
+        assert loose.n_steps < tight.n_steps
+        change = loose.trace[-1] - loose.trace[-2]
+        assert change <= 1e-2 * (abs(loose.trace[-2]) + 1.0)
+
+    def test_trial_steps_are_capped(self):
+        # one curvature pair makes the estimate exact, so the uncapped second
+        # step would jump the 49 units to the maximizer at once
+        points = []
+
+        def fg(v):
+            points.append(v.copy())
+            return -0.5 * float((v[0] - 50.0) ** 2), 50.0 - v
+
+        res = maximize(fg, np.zeros(1), self.TIGHT, method="bfgs")
+        assert res.stop_reason == "converged"
+        assert res.x[0] == pytest.approx(50.0, abs=1e-6)
+        jumps = np.abs(np.diff(np.concatenate(points)))
+        assert jumps.max() <= adadelta.MAX_STEP * (1.0 + 1e-12)
+        assert res.n_steps >= 49.0 / adadelta.MAX_STEP
+
+    def test_zero_gradient_at_start_converges_without_steps(self):
+        res = maximize(lambda v: (1.0, np.zeros_like(v)), np.array([0.3]), method="bfgs")
+        assert (res.stop_reason, res.n_steps) == ("converged", 0)
+
+    @pytest.mark.parametrize("calls", [1, 3, 8, 20])
+    @pytest.mark.parametrize("reason, spoil", [
+        ("non_finite_objective", lambda value, grad: (np.nan, grad)),
+        ("non_finite_gradient", lambda value, grad: (value, np.full_like(grad, np.inf))),
+    ], ids=["value", "gradient"])
+    def test_non_finite_mid_run_reverts_to_best(self, calls, reason, spoil):
+        clean = maximize(_rosenbrock, np.array([-1.2, 1.0]), self.TIGHT, method="bfgs")
+        res = maximize(_after_calls(_rosenbrock, calls, spoil), np.array([-1.2, 1.0]),
+                       self.TIGHT, method="bfgs")
+        assert res.stop_reason == reason
+        assert np.all(np.isfinite(res.trace))
+        self._check_contract(res, _rosenbrock)
+        # the spoiled run follows the clean one until it stops
+        assert res.trace.tobytes() == clean.trace[:res.n_steps + 1].tobytes()
+
+    def test_non_finite_gradient_at_start_stops(self):
+        res = maximize(lambda v: (0.0, np.full_like(v, np.nan)), np.zeros(2), method="bfgs")
+        assert (res.stop_reason, res.n_steps, res.fun) == ("non_finite_gradient", 0, 0.0)
+
+    def test_gradient_of_the_wrong_sign_fails_the_line_search(self):
+        calls = [0]
+
+        def fg(v):
+            calls[0] += 1
+            value, grad = _quadratic(v)
+            return value, -grad
+
+        res = maximize(fg, np.zeros(3), self.TIGHT, method="bfgs")
+        assert (res.stop_reason, res.n_steps) == ("line_search_failed", 0)
+        assert res.x.tolist() == [0.0, 0.0, 0.0]
+        assert calls[0] == 1 + adadelta.MAX_BACKTRACKS
+
+    @pytest.mark.parametrize("method", ["adadelta", "bfgs"])
+    def test_invalid_starts_raise(self, method):
+        with pytest.raises(ValueError, match="non-finite"):
+            maximize(lambda v: (np.inf, np.zeros_like(v)), np.zeros(2), method=method)
+        with pytest.raises(ValueError, match="lengths must agree"):
+            maximize(lambda v: (0.0, np.zeros(v.size + 1)), np.zeros(2), method=method)
+
+    def test_unknown_method_raises_before_evaluating(self):
+        calls = []
+        with pytest.raises(ValueError, match="unknown optimizer method"):
+            maximize(lambda v: calls.append(v) or _quadratic(v), np.zeros(3), method="lbfgs")
+        assert calls == []
+
+    def test_objective_exceptions_propagate(self):
+        def fg(v):
+            if v[0] != 0.0:
+                raise NumericalError("not positive definite")
+            return _quadratic(v)
+
+        with pytest.raises(NumericalError):
+            maximize(fg, np.zeros(3), method="bfgs")
+
+    def test_deterministic(self):
+        a = maximize(_rosenbrock, np.array([-1.2, 1.0]), self.TIGHT, method="bfgs")
+        b = maximize(_rosenbrock, np.array([-1.2, 1.0]), self.TIGHT, method="bfgs")
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.trace.tobytes() == b.trace.tobytes()

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import knotgp
-from knotgp import KernelParams
+from knotgp import KernelParams, fit_full, log_marginal_likelihood
 from knotgp.adadelta import OptimizerConfig
 from knotgp.bench import (Dataset, ExperimentConfig, RosterEntry, Table,
-                          emit_results, load_csv, run_experiment,
+                          emit_results, experiment_runs, load_csv, run_experiment,
                           split_and_standardize)
 from knotgp.common import PredictiveDistribution
 from knotgp.demos import spike_demo, synth_demo
@@ -349,6 +349,23 @@ class TestRunExperiment:
         assert fgp.metrics.srmse == pytest.approx(
             metrics_mod.srmse(pred, ds.y_test_original), rel=1e-9)
 
+    def test_full_gp_trace_shows_its_search(self, experiment):
+        config, results, _ = experiment
+        table = load_csv(config.dataset_path, config.predictor_columns,
+                         config.target_column, config.filter_rules)
+        for (run, ds, _), fgp in zip(experiment_runs(config, table),
+                                     (r for r in results if r.model_id == "FGP")):
+            trace = fgp.trace
+            start = log_marginal_likelihood(fit_full(ds.x_train, ds.y_train,
+                                                     config.init_params))
+            assert trace["objective_before"] == trace["history"][0]["objective"] == start
+            assert trace["history"][-1]["objective"] == trace["objective"] > start
+            assert trace["n_steps"] == len(trace["history"]) - 1 >= 1
+            assert trace["stop_reason"] == "converged"
+            saved = json.loads((Path(config.output_dir) / "traces"
+                                / f"run{run}_FGP.json").read_text())
+            assert (saved["n_steps"], saved["stop_reason"]) == (trace["n_steps"], "converged")
+
     def test_failure_row_recorded_and_flagged(self, tmp_path):
         csv_path = _synthetic_csv(tmp_path / "data.csv")
         roster = [RosterEntry("SVk", "Simult", "VFE")]  # no OAT-BO source
@@ -374,23 +391,21 @@ class TestEmitResults:
 
     def test_rerun_with_timing_disabled_is_byte_identical(self, tmp_path):
         csv_path = _synthetic_csv(tmp_path / "data.csv")
-        config_a = _tiny_config(tmp_path, csv_path,
-                                [RosterEntry("OBVk", "OAT-BO", "VFE"),
-                                 RosterEntry("SVO", "Simult", "VFE",
-                                             "from-model:OBVk")],
-                                record_timing=False)
-        config_a.output_dir = str(tmp_path / "out_a")
-        results_a, _ = run_experiment(config_a)
-        config_b = _tiny_config(tmp_path, csv_path,
-                                [RosterEntry("OBVk", "OAT-BO", "VFE"),
-                                 RosterEntry("SVO", "Simult", "VFE",
-                                             "from-model:OBVk")],
-                                record_timing=False)
-        config_b.output_dir = str(tmp_path / "out_b")
-        results_b, _ = run_experiment(config_b)
-        bytes_a = (Path(config_a.output_dir) / "results.csv").read_bytes()
-        bytes_b = (Path(config_b.output_dir) / "results.csv").read_bytes()
-        assert bytes_a == bytes_b
+        outputs = []
+        for tag in ("a", "b"):
+            config = _tiny_config(tmp_path, csv_path,
+                                  [RosterEntry("FGP", "none", "FullGP"),
+                                   RosterEntry("OBVk", "OAT-BO", "VFE"),
+                                   RosterEntry("SVO", "Simult", "VFE",
+                                               "from-model:OBVk")],
+                                  record_timing=False)
+            config.output_dir = str(tmp_path / f"out_{tag}")
+            run_experiment(config)
+            out = Path(config.output_dir)
+            outputs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]
 
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -425,11 +440,23 @@ class TestDemos:
         assert capsys.readouterr().out
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second and 40 MB to import, and nothing needs it
+def _loaded_by_import(module: str) -> bool:
+    """Whether importing ``knotgp.bench`` and ``knotgp.cli`` in a fresh
+    interpreter loads ``module``."""
     src = str(Path(knotgp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, knotgp.bench, knotgp.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, knotgp.bench, knotgp.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second and 40 MB to import, and nothing needs it
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.2 s and 15 MB to import; the package's
+    # own BFGS serves the exact-GP search
+    assert not _loaded_by_import("scipy.optimize")

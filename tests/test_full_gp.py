@@ -112,6 +112,23 @@ class TestLogMarginalLikelihood:
         assert shuffled == pytest.approx(base, abs=1e-9)
 
 
+def _closure(x, y, init):
+    """The exact-GP search objective built from the public fit and density."""
+    def objective(vec):
+        return log_marginal_likelihood(fit_full(x, y, init.with_log_vector(vec)),
+                                       with_grad=True)
+    return objective
+
+
+def _c09_problem(n, seed):
+    """Standardized rows of acceptance criterion 9's synthetic recipe."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 5))
+    y = (np.sin(x[:, 0]) + 0.6 * np.cos(1.3 * x[:, 1]) + 0.3 * x[:, 2]
+         + 0.25 * rng.standard_normal(n))
+    return x, (y - y.mean()) / y.std()
+
+
 class TestFitHyperparameters:
     @pytest.mark.parametrize("n, d, steps", [(29, 5, 150), (80, 2, 60)])
     def test_matches_a_closure_over_fit_full(self, n, d, steps):
@@ -121,11 +138,7 @@ class TestFitHyperparameters:
         init = KernelParams(float(np.var(y)), 1.0, 0.05)
         config = OptimizerConfig(max_steps=steps, rel_tol=1e-4, patience=5)
 
-        def closure(vec):
-            return log_marginal_likelihood(fit_full(x, y, init.with_log_vector(vec)),
-                                           with_grad=True)
-
-        expected = maximize(closure, init.log_vector(), config)
+        expected = maximize(_closure(x, y, init), init.log_vector(), config, method="bfgs")
         model, result = fit_hyperparameters(x, y, init, config)
         assert result.n_steps == expected.n_steps
         assert result.stop_reason == expected.stop_reason
@@ -136,6 +149,55 @@ class TestFitHyperparameters:
         refit = fit_full(x, y, model.params)
         np.testing.assert_array_equal(model.alpha, refit.alpha)
         assert log_marginal_likelihood(model) == pytest.approx(result.fun, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [29, 80])
+    def test_surrogate_search_matches_an_adadelta_closure(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 2))
+        gains = np.cos(x[:, 0]) + 0.2 * rng.standard_normal(n)
+        init = KernelParams(1.0, 1.0, 1e-6)
+        calls = []
+        search = full_gp.fit_hyperparameters
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, search(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(full_gp, "fit_hyperparameters", spy)
+        surrogate = selection._fit_surrogate(x, gains, init)
+        [(args, kwargs, (model, result))] = calls
+        assert kwargs == {"method": "adadelta"}
+        config = args[3]
+        expected = maximize(_closure(x, gains, init), init.log_vector(), config,
+                            method="adadelta")
+        assert result.n_steps == expected.n_steps
+        assert result.stop_reason == expected.stop_reason
+        assert result.x.tobytes() == expected.x.tobytes()
+        assert result.fun == expected.fun
+        assert result.trace.tobytes() == expected.trace.tobytes()
+        assert surrogate is model
+        assert model.params == init.with_log_vector(expected.x)
+
+    @pytest.mark.parametrize("n, seed", [(120, 1), (320, 3)])
+    def test_reaches_the_lbfgsb_optimum(self, n, seed):
+        import scipy.optimize
+
+        x, y = _c09_problem(n, seed)
+        init = KernelParams(1.0, 1.0, 0.1)
+        closure = _closure(x, y, init)
+        model, result = fit_hyperparameters(x, y, init,
+                                            OptimizerConfig(max_steps=200, rel_tol=1e-12))
+        assert result.stop_reason == "converged"
+        assert result.n_steps <= 30
+        _, grad = log_marginal_likelihood(model, with_grad=True)
+        assert np.abs(grad).max() <= 1e-4
+        adadelta = fit_hyperparameters(x, y, init, OptimizerConfig(max_steps=200),
+                                       method="adadelta")[1]
+        assert result.fun >= adadelta.fun
+        reference = scipy.optimize.minimize(lambda v: tuple(-t for t in closure(v)),
+                                            init.log_vector(), jac=True, method="L-BFGS-B")
+        assert reference.success
+        assert abs(result.fun + reference.fun) <= 1e-6
 
     def test_inputs_validated(self):
         config = OptimizerConfig(max_steps=5)
