@@ -270,104 +270,98 @@ class RunResult:
 
 # -- orchestration ---------------------------------------------------------------
 
-def _fit_entry(entry: RosterEntry, config: ExperimentConfig, dataset: Dataset,
-               seed: int, fitted: dict):
-    """Fit one roster entry to a run's training split.
+def _fit_entry(run_index: int, entry: RosterEntry, config: ExperimentConfig,
+               dataset: Dataset, seed: int, fitted: dict):
+    """Fit one roster entry to a run's training split, then predict and score
+    its test rows.
 
     ``fitted`` maps the model ids fitted earlier in the run to their models.
-    Returns ``(model, objective, history, details)``, where ``history`` lists
-    ``{"knots", "objective"}`` from the first objective recorded to the last,
-    and ``details`` holds the OAT selection trace, or the stop reason and
-    step count of a FullGP or Simult search.
+    Returns ``(result, model, prediction)``: a result with every metric but
+    AUKL, and the test prediction on the original target scale. Only the fit
+    is timed. The trace's history holds a ``{"knots", "objective"}`` per OAT
+    step, or per objective value of a FullGP or Simult search.
     """
     x, y = dataset.x_train, dataset.y_train
+    objective = entry.approximation.lower()
+    start = time.perf_counter()
     if entry.approximation == "FullGP":
         model, res = full_gp.fit_hyperparameters(x, y, config.init_params, config.optimizer)
-        return model, res.fun, *_search_record(0, res)
-    objective = entry.approximation.lower()
-    if entry.knot_selection != "Simult":
+    elif entry.knot_selection != "Simult":
         proposal = "bo" if entry.knot_selection == "OAT-BO" else "rs"
         oat = replace(config.oat, proposal=proposal, objective=objective, rng_seed=seed)
-        model, trace = oat_select(x, y, config.init_params, oat, config.optimizer)
-        history = [{"knots": step.knot_count, "objective": step.objective_after}
-                   for step in trace.steps]
-        return model, model.objective(), history, {"selection": trace.to_dict()}
-    if entry.knot_init == "kmeans":
-        # the knot count follows the last earlier OAT-BO entry, preferring one
-        # with the same approximation
-        source_id, same_approximation = None, False
-        for other in config.model_roster:
-            if other.model_id == entry.model_id:
-                break
-            same = other.approximation == entry.approximation
-            if other.knot_selection == "OAT-BO" and (same or not same_approximation):
-                source_id, same_approximation = other.model_id, same
-        if source_id not in fitted:
-            raise ValueError(
-                f"model {entry.model_id!r} needs an earlier OAT-BO entry to set its knot count"
-            )
-        knots0 = kmeans_init(x, fitted[source_id].n_knots, seed)
-        params0 = config.init_params
+        model, selection = oat_select(x, y, config.init_params, oat, config.optimizer)
     else:
-        source = fitted[entry.knot_init.split(":", 1)[1]]
-        knots0, params0 = source.knots.locations.copy(), source.params
-    model, res = simultaneous_optimize(x, y, params0, knots0, objective, config.optimizer)
-    return model, res.fun, *_search_record(knots0.shape[0], res)
+        if entry.knot_init == "kmeans":
+            # the knot count follows the last earlier OAT-BO entry, preferring
+            # one with the same approximation
+            earlier = config.model_roster[:config.model_roster.index(entry)]
+            oat_bo = [e for e in earlier if e.knot_selection == "OAT-BO"]
+            same = [e for e in oat_bo if e.approximation == entry.approximation]
+            if not oat_bo:
+                raise ValueError(f"model {entry.model_id!r} needs an earlier OAT-BO "
+                                 "entry to set its knot count")
+            source_id = (same or oat_bo)[-1].model_id
+        else:
+            source_id = entry.knot_init.split(":", 1)[1]
+        if source_id not in fitted:
+            raise ValueError(f"model {entry.model_id!r} starts from model {source_id!r}, "
+                             "which failed in this run")
+        source = fitted[source_id]
+        if entry.knot_init == "kmeans":
+            knots0, params0 = kmeans_init(x, source.n_knots, seed), config.init_params
+        else:
+            knots0, params0 = source.knots.locations.copy(), source.params
+        model, res = simultaneous_optimize(x, y, params0, knots0, objective, config.optimizer)
+    seconds = time.perf_counter() - start
 
-
-def _search_record(knots: int, res):
-    """``(history, details)`` of one optimizer search: a history entry per
-    objective value in its trace, then its step count and stop reason."""
-    return ([{"knots": knots, "objective": float(v)} for v in res.trace],
-            {"n_steps": res.n_steps, "stop_reason": res.stop_reason})
+    knots = None if entry.approximation == "FullGP" else model.knots.locations
+    knot_count = 0 if knots is None else knots.shape[0]
+    if entry.knot_selection in ("OAT-BO", "OAT-RS"):
+        history = [{"knots": step.knot_count, "objective": step.objective_after}
+                   for step in selection.steps]
+        trace = {"objective": model.objective(), "selection": selection.to_dict()}
+    else:
+        history = [{"knots": knot_count, "objective": float(v)} for v in res.trace]
+        trace = {"objective": res.fun, "n_steps": res.n_steps, "stop_reason": res.stop_reason}
+    trace.update(history=history, objective_before=history[0]["objective"])
+    pred = dataset.to_original_scale(full_gp.predict_full(model, dataset.x_test)
+                                     if knots is None else model.predict(dataset.x_test))
+    report = metrics_mod.MetricReport(
+        mnlp=metrics_mod.mnlp(pred, dataset.y_test_original),
+        srmse=metrics_mod.srmse(pred, dataset.y_test_original),
+        train_seconds=seconds, knot_count=knot_count)
+    return RunResult(run_index, entry.model_id, report, model.params, knots, trace), model, pred
 
 
 def run_experiment(config: ExperimentConfig):
     """Fit the whole roster on every run; returns (results, all_succeeded)."""
     table = load_csv(config.dataset_path, config.predictor_columns,
                      config.target_column, config.filter_rules)
-    full_gp_ids = {e.model_id for e in config.model_roster if e.approximation == "FullGP"}
     results: list[RunResult] = []
     for run_index, dataset, seeds in experiment_runs(config, table):
         fitted: dict = {}
-        predictions: dict[str, PredictiveDistribution] = {}   # original scale
+        reference, sparse = None, []    # the first FullGP prediction; (report, prediction)
         for entry, seed in zip(config.model_roster, seeds):
             logger.info("run %d: fitting %s", run_index, entry.model_id)
             try:
-                start = time.perf_counter()
-                model, objective, history, details = _fit_entry(entry, config, dataset,
-                                                                 seed, fitted)
-                seconds = time.perf_counter() - start
-                pred = (full_gp.predict_full(model, dataset.x_test)
-                        if entry.approximation == "FullGP" else model.predict(dataset.x_test))
+                result, model, pred = _fit_entry(run_index, entry, config, dataset,
+                                                 seed, fitted)
             except Exception as err:  # noqa: BLE001 - a failed model must not kill the run
                 logger.exception("run %d: model %s failed", run_index, entry.model_id)
                 results.append(RunResult(run_index, entry.model_id, None, None, None,
                                          failed=True, error=str(err)))
                 continue
             fitted[entry.model_id] = model
-            predictions[entry.model_id] = pred = dataset.to_original_scale(pred)
-            knots = None if entry.approximation == "FullGP" else model.knots.locations
-            report = metrics_mod.MetricReport(
-                mnlp=metrics_mod.mnlp(pred, dataset.y_test_original),
-                srmse=metrics_mod.srmse(pred, dataset.y_test_original),
-                train_seconds=seconds,
-                knot_count=0 if knots is None else knots.shape[0],
-            )
-            trace = {"history": history, "objective": objective,
-                     "objective_before": history[0]["objective"], **details}
-            results.append(RunResult(run_index, entry.model_id, report, model.params,
-                                     knots, trace))
+            results.append(result)
+            if entry.approximation != "FullGP":
+                sparse.append((result.metrics, pred))
+            elif reference is None:
+                reference = pred
 
-        reference = next((pred for model_id, pred in predictions.items()
-                          if model_id in full_gp_ids), None)
         if reference is not None:
-            for result in results:
-                if (result.run_index == run_index and result.model_id in predictions
-                        and result.model_id not in full_gp_ids):
-                    value = metrics_mod.aukl(reference, predictions[result.model_id])
-                    result.metrics.aukl = value
-                    result.metrics.log10_aukl = float(np.log10(value)) if value > 0 else None
+            for report, pred in sparse:
+                report.aukl = value = metrics_mod.aukl(reference, pred)
+                report.log10_aukl = float(np.log10(value)) if value > 0 else None
 
     emit_results(results, config.output_dir, record_timing=config.record_timing)
     return results, not any(result.failed for result in results)
@@ -431,11 +425,13 @@ def emit_results(results, output_dir, record_timing: bool = True):
     by_model: dict[str, list] = {}
     for result in results:
         by_model.setdefault(result.model_id, []).append(result)
-    lines = ["model_id  runs  mean_mnlp  mean_srmse  mean_aukl  mean_seconds  mean_knots  failures"]
+    lines = ["model_id  runs  mean_objective  mean_mnlp  mean_srmse  mean_aukl  mean_seconds  "
+             "mean_knots  failures"]
     for model_id, group in by_model.items():
         good = [r.metrics for r in group if r.metrics is not None]
         lines.append("  ".join([
             model_id, str(len(group)),
+            _mean_cell([r.trace["objective"] for r in group if not r.failed]),
             _mean_cell([m.mnlp for m in good]),
             _mean_cell([m.srmse for m in good]),
             _mean_cell([m.aukl for m in good]),

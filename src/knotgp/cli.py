@@ -9,8 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench, demos, metrics as metrics_mod
-from .selection import oat_select
+from . import bench, demos
 
 
 def _add_common(parser):
@@ -41,18 +40,19 @@ def _cmd_fit(args) -> int:
     table = bench.load_csv(config.dataset_path, config.predictor_columns,
                            config.target_column, config.filter_rules)
     _, dataset, _ = next(bench.experiment_runs(config, table))
-    model, trace = oat_select(dataset.x_train, dataset.y_train, config.init_params,
-                              config.oat, config.optimizer)
-    pred = dataset.to_original_scale(model.predict(dataset.x_test))
+    entry = bench.RosterEntry("fit", "OAT-BO" if config.oat.proposal == "bo" else "OAT-RS",
+                              config.oat.objective.upper())
+    result, _, _ = bench._fit_entry(0, entry, config, dataset, config.oat.rng_seed, {})
+    params = result.final_params
     report = {
-        "objective": model.objective(),
-        "mnlp": metrics_mod.mnlp(pred, dataset.y_test_original),
-        "srmse": metrics_mod.srmse(pred, dataset.y_test_original),
-        "knots": model.n_knots,
+        "objective": result.trace["objective"],
+        "mnlp": result.metrics.mnlp,
+        "srmse": result.metrics.srmse,
+        "knots": result.metrics.knot_count,
         "params": {
-            "signal_variance": model.params.signal_variance,
-            "lengthscale": model.params.lengthscale,
-            "noise_variance": model.params.noise_variance,
+            "signal_variance": params.signal_variance,
+            "lengthscale": params.lengthscale,
+            "noise_variance": params.noise_variance,
         },
     }
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -60,7 +60,7 @@ def _cmd_fit(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "fit.json", "w") as handle:
-            json.dump({**report, "trace": trace.to_dict()}, handle, indent=2,
+            json.dump({**report, "trace": result.trace["selection"]}, handle, indent=2,
                       sort_keys=True)
     return 0
 

@@ -68,17 +68,11 @@ def spike_demo(seed: int = 0, out_dir=None, n_points: int = 200, n_grid: int = 4
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "spike.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["sixth_knot_location", "objective", "baseline"])
-            for s, v in zip(grid, sweep):
-                writer.writerow([repr(float(s)), repr(float(v)), repr(base)])
-        with open(out / "spike_knots.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["knot", "objective_at", "objective_plus", "objective_minus"])
-            for k, a, p, m in zip(np.sort(knots), at_knots, above, below):
-                writer.writerow([repr(float(k)), repr(float(a)), repr(float(p)),
-                                 repr(float(m))])
+        _write_csv(out / "spike.csv", ["sixth_knot_location", "objective", "baseline"],
+                   [(s, v, base) for s, v in zip(grid, sweep)])
+        _write_csv(out / "spike_knots.csv",
+                   ["knot", "objective_at", "objective_plus", "objective_minus"],
+                   zip(np.sort(knots), at_knots, above, below))
     return result
 
 
@@ -114,21 +108,22 @@ def synth_demo(seed: int = 0, out_dir=None, n_points: int = 300, max_knots: int 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "synth_fit.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x", "oat_mean", "oat_var", "refined_mean", "refined_var"])
-            for i, s in enumerate(grid[:, 0]):
-                writer.writerow([repr(float(s)),
-                                 repr(float(oat_pred.latent_mean[i])),
-                                 repr(float(oat_pred.latent_variance[i])),
-                                 repr(float(refined_pred.latent_mean[i])),
-                                 repr(float(refined_pred.latent_variance[i]))])
+        _write_csv(out / "synth_fit.csv",
+                   ["x", "oat_mean", "oat_var", "refined_mean", "refined_var"],
+                   zip(grid[:, 0], oat_pred.latent_mean, oat_pred.latent_variance,
+                       refined_pred.latent_mean, refined_pred.latent_variance))
         with open(out / "synth_trace.json", "w") as handle:
             json.dump(trace.to_dict(), handle, indent=2, sort_keys=True)
-        with open(out / "synth_knots.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["oat_knot", "refined_knot"])
-            for a, b in zip(np.sort(oat_model.knots.locations[:, 0]),
-                            np.sort(refined.knots.locations[:, 0])):
-                writer.writerow([repr(float(a)), repr(float(b))])
+        _write_csv(out / "synth_knots.csv", ["oat_knot", "refined_knot"],
+                   zip(np.sort(oat_model.knots.locations[:, 0]),
+                       np.sort(refined.knots.locations[:, 0])))
     return result
+
+
+def _write_csv(path, header, rows):
+    """Write a headered CSV with every cell as the ``repr`` of a Python float,
+    which parses back to the same value."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import runpy
@@ -6,12 +7,13 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import knotgp
-from knotgp import KernelParams, fit_full, log_marginal_likelihood
+from knotgp import KernelParams, bench, fit_full, log_marginal_likelihood
 from knotgp.adadelta import OptimizerConfig
 from knotgp.bench import (Dataset, ExperimentConfig, RosterEntry, Table,
                           emit_results, experiment_runs, load_csv, run_experiment,
@@ -378,6 +380,78 @@ class TestRunExperiment:
         lines = (Path(config.output_dir) / "results.csv").read_text().splitlines()
         assert lines[1].startswith("0,SVk,,,")
 
+    def test_simult_names_a_source_that_failed_in_the_run(self, tmp_path, monkeypatch):
+        def failing_oat_select(*args, **kwargs):
+            raise RuntimeError("selection failed")
+
+        monkeypatch.setattr(bench, "oat_select", failing_oat_select)
+        csv_path = _synthetic_csv(tmp_path / "data.csv")
+        roster = [RosterEntry("OBVk", "OAT-BO", "VFE"), RosterEntry("SVk", "Simult", "VFE"),
+                  RosterEntry("SVO", "Simult", "VFE", "from-model:OBVk")]
+        results, ok = run_experiment(_tiny_config(tmp_path, csv_path, roster))
+        assert not ok and all(r.failed for r in results)
+        errors = {r.model_id: r.error for r in results}
+        assert errors["OBVk"] == "selection failed"
+        for model_id in ("SVk", "SVO"):
+            assert errors[model_id] == (f"model {model_id!r} starts from model 'OBVk', "
+                                        "which failed in this run")
+
+
+def _two_flag_source(roster, entry):
+    """The knot-count source rule of a k-means Simult entry as a two-flag
+    loop: the last earlier OAT-BO entry, preferring one with the same
+    approximation. The reference for ``_fit_entry``'s list filters."""
+    source_id, same_approximation = None, False
+    for other in roster:
+        if other.model_id == entry.model_id:
+            break
+        same = other.approximation == entry.approximation
+        if other.knot_selection == "OAT-BO" and (same or not same_approximation):
+            source_id, same_approximation = other.model_id, same
+    return source_id
+
+
+class _KnotCount(Exception):
+    pass
+
+
+def test_kmeans_knot_count_source_matches_two_flag_loop(monkeypatch):
+    def picked(x, k, seed):
+        raise _KnotCount(k)
+
+    monkeypatch.setattr(bench, "kmeans_init", picked)
+    kinds = [("OAT-BO", "VFE"), ("OAT-BO", "FIC"), ("OAT-RS", "VFE"), ("OAT-RS", "FIC"),
+             ("none", "FullGP"), ("Simult", "VFE"), ("Simult", "FIC")]
+    dataset = SimpleNamespace(x_train=np.zeros((4, 1)), y_train=np.zeros(4))
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(400):
+        roster = [RosterEntry(f"m{i}", *kinds[j])
+                  for i, j in enumerate(rng.integers(len(kinds), size=rng.integers(1, 8)))]
+        roster.append(RosterEntry("target", "Simult", str(rng.choice(["VFE", "FIC"]))))
+        entry = roster[-1]
+        config = ExperimentConfig("d.csv", ["a"], "y", model_roster=roster)
+        # each earlier entry fitted with probability 0.8, with a knot count
+        # that names it
+        fitted = {e.model_id: SimpleNamespace(n_knots=i) for i, e in enumerate(roster[:-1])
+                  if rng.random() < 0.8}
+        expected = _two_flag_source(roster, entry)
+        if expected in fitted:
+            with pytest.raises(_KnotCount) as picked_count:
+                bench._fit_entry(0, entry, config, dataset, 0, fitted)
+            assert roster[picked_count.value.args[0]].model_id == expected
+            outcomes.add("fitted")
+        else:
+            with pytest.raises(ValueError) as missing:
+                bench._fit_entry(0, entry, config, dataset, 0, fitted)
+            if expected is None:
+                assert "needs an earlier OAT-BO entry" in str(missing.value)
+                outcomes.add("no source")
+            else:
+                assert f"{expected!r}, which failed in this run" in str(missing.value)
+                outcomes.add("source failed")
+    assert outcomes == {"fitted", "no source", "source failed"}
+
 
 class TestEmitResults:
     def test_missing_aukl_is_empty_cell_not_zero(self, tmp_path):
@@ -412,11 +486,21 @@ class TestEmitResults:
             emit_results([], tmp_path / "out")
 
 
+def _assert_float_cells(path: Path):
+    """Every data cell of a headered CSV parses as a number."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert rows and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for cell in row:
+            float(cell)
+
+
 class TestDemos:
     def test_spike_demo_emits_sweep(self, tmp_path):
         result = spike_demo(seed=0, out_dir=tmp_path, n_points=80, n_grid=41)
-        assert (tmp_path / "spike.csv").exists()
-        assert (tmp_path / "spike_knots.csv").exists()
+        _assert_float_cells(tmp_path / "spike.csv")
+        _assert_float_cells(tmp_path / "spike_knots.csv")
         assert result["objective"].shape == (41,)
         assert len(result["knots"]) == 5
         # monotonicity: a sixth knot never hurts beyond round-off
@@ -424,7 +508,8 @@ class TestDemos:
 
     def test_synth_demo_runs_and_refines(self, tmp_path):
         result = synth_demo(seed=0, out_dir=tmp_path, n_points=120, max_knots=7)
-        assert (tmp_path / "synth_fit.csv").exists()
+        _assert_float_cells(tmp_path / "synth_fit.csv")
+        _assert_float_cells(tmp_path / "synth_knots.csv")
         assert (tmp_path / "synth_trace.json").exists()
         refined = result["refinement"]
         assert refined.fun >= result["oat_model"].objective() - 1e-10

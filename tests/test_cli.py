@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from knotgp import bench
 from knotgp.cli import main
+from knotgp.selection import oat_select
 
 
 def _write_dataset(path: Path, n=60, seed=0):
@@ -48,6 +50,32 @@ def test_fit_subcommand(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert {"objective", "mnlp", "srmse", "knots", "params"} <= set(report)
     assert (tmp_path / "fit-out" / "fit.json").exists()
+
+
+@pytest.mark.parametrize("proposal, objective, seed", [("bo", "vfe", None), ("rs", "fic", 5)])
+def test_fit_matches_oat_select_on_run_zero_split(tmp_path, capsys, proposal, objective, seed):
+    path = _write_config(tmp_path, [])
+    flags = ["--proposal", proposal, "--objective", objective]
+    if seed is not None:
+        flags += ["--seed", str(seed)]
+    assert main(["fit", "--config", str(path), *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    config = bench.ExperimentConfig.from_json(path)
+    if seed is not None:
+        config.rng_seed = seed
+    config.oat = replace(config.oat, proposal=proposal, objective=objective,
+                         rng_seed=config.rng_seed)
+    table = bench.load_csv(config.dataset_path, config.predictor_columns,
+                           config.target_column, config.filter_rules)
+    _, dataset, _ = next(bench.experiment_runs(config, table))
+    model, _ = oat_select(dataset.x_train, dataset.y_train, config.init_params,
+                          config.oat, config.optimizer)
+    assert report["objective"] == model.objective()
+    assert report["knots"] == model.n_knots
+    assert report["params"] == {"signal_variance": model.params.signal_variance,
+                                "lengthscale": model.params.lengthscale,
+                                "noise_variance": model.params.noise_variance}
 
 
 def test_fit_uses_experiment_run_zero_split(tmp_path, monkeypatch):
