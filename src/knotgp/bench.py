@@ -49,7 +49,8 @@ def load_csv(path, predictor_columns, target_column, filter_rules=()) -> Table:
 
     Each filter rule is (column, comparator, value) with comparator one of
     ==, !=, <, <=, >, >=. Non-numeric cells in a used column are reported by
-    row and column name.
+    row and column name, and rules that keep no row are reported with the
+    rules.
     """
     path = Path(path)
     if not path.exists():
@@ -97,6 +98,9 @@ def load_csv(path, predictor_columns, target_column, filter_rules=()) -> Table:
         if op not in comparators:
             raise ValueError(f"unknown comparator {op!r} in filter rule")
         keep &= comparators[op](columns[column], float(value))
+    if not keep.any():
+        raise ValueError(f"filter rules {list(filter_rules)} keep none of the "
+                         f"{n_rows} data rows of {path}")
     columns = {name: values[keep] for name, values in columns.items()}
     return Table(columns, int(np.sum(keep)))
 

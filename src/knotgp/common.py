@@ -1,12 +1,65 @@
-"""Shared numerical helpers and result containers."""
+"""Shared numerical helpers and result containers.
+
+The package calls four compiled scipy routines: BLAS ``dtrsm``, LAPACK
+``dpotrf`` and ``dpotri``, and the ``ndtr`` ufunc. They are bound here, by
+:func:`_scipy_routine`, straight from the extension modules that hold them
+(``scipy/linalg/_fblas``, ``scipy/linalg/_flapack`` and
+``scipy/special/_special_ufuncs``), so no ``__init__`` of ``scipy.linalg``
+or ``scipy.special`` runs. Those packages pull in scipy's array-API layer,
+which loads ``numpy.f2py``, ``numpy.testing``, ``unittest`` and more, and
+cost every process about 0.36 s and 26 MB to import. The bound objects are
+the very ones that ``scipy.linalg.blas``, ``scipy.linalg.lapack`` and
+``scipy.special`` re-export, so every result has the same bits. Under a
+scipy layout where a file is missing or does not load, the public name is
+imported and bound instead: the same routine at the full import cost.
+"""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
+
+
+def _scipy_routine(extension: str, routine: str, public: str):
+    """``routine`` from scipy's compiled module ``extension``, else from the
+    module ``public`` that re-exports it.
+
+    An extension not imported yet is loaded from its file under scipy's
+    directory (``find_spec`` imports nothing) and left out of
+    ``sys.modules``, so a later ``import scipy.linalg`` runs as usual.
+    """
+    module = sys.modules.get(extension)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        roots = (scipy_spec.submodule_search_locations or []) if scipy_spec else []
+        *package, leaf = extension.split(".")[1:]
+        paths = (os.path.join(root, *package, leaf + suffix)
+                 for root in roots for suffix in EXTENSION_SUFFIXES)
+        path = next(filter(os.path.isfile, paths), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(extension, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:
+                module = None
+            finally:
+                sys.modules.pop(extension, None)    # single-phase modules register themselves
+    if not hasattr(module, routine):
+        module = importlib.import_module(public)
+    return getattr(module, routine)
+
+
+dtrsm = _scipy_routine("scipy.linalg._fblas", "dtrsm", "scipy.linalg.blas")
+dpotrf = _scipy_routine("scipy.linalg._flapack", "dpotrf", "scipy.linalg.lapack")
+dpotri = _scipy_routine("scipy.linalg._flapack", "dpotri", "scipy.linalg.lapack")
+ndtr = _scipy_routine("scipy.special._special_ufuncs", "ndtr", "scipy.special")
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -69,9 +122,12 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
     The input is left unmodified and symmetrized into one new array; a
     non-finite entry raises ``ValueError``. The factor comes from LAPACK
     ``dpotrf`` called directly, the same routine ``scipy.linalg.cholesky``
-    wraps, with its upper triangle zeroed. ``dpotrf`` factors the symmetrized
-    array in place: it is exactly symmetric, so its transpose is the same
-    matrix in Fortran order and needs no second copy. If ``escalations`` > 0
+    wraps, with its upper triangle zeroed. It is bound from scipy's
+    ``_flapack`` extension without importing ``scipy.linalg``, or from
+    ``scipy.linalg.lapack`` where that file is absent or does not load (see
+    the module docstring). ``dpotrf`` factors the symmetrized array in place:
+    it is exactly symmetric, so its transpose is the same matrix in Fortran
+    order and needs no second copy. If ``escalations`` > 0
     and the factorization fails, the symmetrized array is formed again and a
     ridge starting at 1e-12 times the mean diagonal is added, grown a
     hundredfold per retry; each failed attempt bumps the

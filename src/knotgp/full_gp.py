@@ -25,11 +25,10 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotri
 
 from .adadelta import MaximizeResult, OptimizerConfig, maximize
 from .common import (LOG_2PI, NumericalError, PredictiveDistribution, _clamped_prediction,
-                     _test_inputs, _training_data, chol_lower, tri_solve)
+                     _test_inputs, _training_data, chol_lower, dpotri, tri_solve)
 from .kernels import KernelParams, _kernel, _row_norms, _squared_distances, squared_distances
 
 

@@ -27,11 +27,10 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import full_gp
 from .adadelta import OptimizerConfig, maximize
-from .common import NumericalError, _training_data, as_input_matrix
+from .common import NumericalError, _training_data, as_input_matrix, ndtr
 from .kernels import KernelParams, _row_norms, _squared_distances
 from .sparse_gp import Approximation, SparseGPModel, _coincident, _knot_array
 
@@ -82,6 +81,8 @@ class SelectionStep:
     proposal_seconds: float
     optimize_seconds: float
     accepted_location: tuple | None
+    n_steps: int                   # the inner optimization's steps and why it stopped
+    stop_reason: str
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -263,7 +264,9 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
     unconditionally, and re-optimizes (log s2, log ell, log tau2) plus the
     new knot's coordinates with earlier knots frozen. The loop stops at
     ``max_knots`` or when a round's improvement falls below
-    ``improvement_tol * (|objective| + 1)``.
+    ``improvement_tol * (|objective| + 1)``. The trace holds one step for the
+    initial fit and one per round, each with its inner search's ``n_steps``
+    and ``stop_reason``, and each step is logged at INFO.
     """
     x, y = _training_data(x, y)
     approx = _OBJECTIVE_APPROX[config.objective]
@@ -273,12 +276,18 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
     kmeans_seed, *round_seeds = master.spawn(1 + config.max_knots - config.initial_knot_count)
     trace = SelectionTrace()
 
+    def record(res, proposal_seconds, optimize_seconds, location):
+        step = SelectionStep(knots.shape[0], float(res.trace[0]), res.fun, proposal_seconds,
+                             optimize_seconds, location, res.n_steps, res.stop_reason)
+        trace.steps.append(step)
+        logger.info("OAT %d knots: objective %.6f after %d steps (%s)", step.knot_count,
+                    step.objective_after, step.n_steps, step.stop_reason)
+
     knots = kmeans_init(x, config.initial_knot_count, kmeans_seed)
     t0 = time.perf_counter()
     model, res = _optimize_params_and_knot(SparseGPModel(approx, x, y, init_params, knots),
                                            None, optimizer_config)
-    trace.steps.append(SelectionStep(knots.shape[0], float(res.trace[0]), res.fun,
-                                     0.0, time.perf_counter() - t0, None))
+    record(res, 0.0, time.perf_counter() - t0, None)
     if res.stop_reason.startswith("non_finite"):
         trace.stopped_because = f"initial optimization: {res.stop_reason}"
         return model, trace
@@ -306,10 +315,7 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
         except (NumericalError, ValueError) as err:
             trace.stopped_because = f"inner optimization failed: {err}"
             break
-        optimize_seconds = time.perf_counter() - to
-        trace.steps.append(SelectionStep(knots.shape[0], float(res.trace[0]), res.fun,
-                                         proposal_seconds, optimize_seconds,
-                                         tuple(location)))
+        record(res, proposal_seconds, time.perf_counter() - to, tuple(location))
         improvement = res.fun - previous
         if improvement < config.improvement_tol * (abs(previous) + 1.0):
             trace.stopped_because = "improvement below tolerance"

@@ -93,6 +93,13 @@ class TestLoadCsv:
         table = load_csv(path, ["a"], "y", [("a", ">", 1), ("a", "<=", 3)])
         np.testing.assert_array_equal(table.columns["a"], [2.0, 3.0])
 
+    def test_filter_that_keeps_no_rows_names_the_rules(self, tmp_path):
+        path = tmp_path / "f.csv"
+        _write_csv(path, ["a", "b", "y"], [(1, 5, 0), (2, 6, 0), (3, 7, 0), (4, 8, 0)])
+        with pytest.raises(ValueError, match=r"^filter rules \[\('a', '>', 100\)\] keep none "
+                                             r"of the 4 data rows of "):
+            load_csv(path, ["a", "b"], "y", [("a", ">", 100)])
+
 
 class TestSplitAndStandardize:
     def test_80_20_split_counts(self, boston_like):
@@ -545,3 +552,13 @@ def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.2 s and 15 MB to import; the package's
     # own BFGS serves the exact-GP search
     assert not _loaded_by_import("scipy.optimize")
+
+
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.special", "scipy._lib._array_api",
+                                    "numpy.f2py", "numpy.testing"])
+def test_import_leaves_scipy_python_layers_unloaded(module):
+    # scipy.linalg and scipy.special, with the array-API layer they load
+    # (which loads numpy.f2py and numpy.testing), cost about 0.36 s and 26 MB
+    # per process; common binds the four compiled routines from their
+    # extension modules instead
+    assert not _loaded_by_import(module)

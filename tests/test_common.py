@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
+import scipy.special
 
 from knotgp import Approximation, KernelParams, common, fit_full, fit_sparse, predict_full
 from knotgp.common import NumericalError, chol_lower
@@ -134,3 +142,91 @@ def test_predictors_share_the_test_width_check(predictor):
         predict(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="test inputs contains non-finite entries"):
         predict([[0.0, np.nan]])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ROUTINES = [("scipy.linalg._fblas", "dtrsm", "scipy.linalg.blas"),
+             ("scipy.linalg._flapack", "dpotrf", "scipy.linalg.lapack"),
+             ("scipy.linalg._flapack", "dpotri", "scipy.linalg.lapack"),
+             ("scipy.special._special_ufuncs", "ndtr", "scipy.special")]
+
+_NDTR_POINTS = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                               [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+
+def _check_routines(dtrsm, dpotrf, dpotri, ndtr):
+    """Each routine returns the bits of scipy's public one on seeded inputs."""
+    rng = np.random.default_rng(11)
+    factor = np.linalg.cholesky(_spd(rng, 7))
+    rhs = rng.standard_normal((40, 7))
+    for trans_a in (0, 1):
+        for overwrite_b in (0, 1):
+            ours, theirs = (f(1.0, factor, np.asfortranarray(rhs), side=1, lower=1,
+                              trans_a=trans_a, overwrite_b=overwrite_b)
+                            for f in (dtrsm, scipy.linalg.blas.dtrsm))
+            assert _same_bits(ours, theirs)
+    spd = _spd(rng, 9)
+    spd = 0.5 * (spd + spd.T)
+    for kwargs in ({"lower": 1, "clean": 1}, {"lower": 0}):
+        ours, theirs = dpotrf(spd, **kwargs), scipy.linalg.lapack.dpotrf(spd, **kwargs)
+        assert ours[1] == theirs[1] == 0 and _same_bits(ours[0], theirs[0])
+    chol = np.linalg.cholesky(spd)
+    ours, theirs = dpotri(chol, lower=1), scipy.linalg.lapack.dpotri(chol, lower=1)
+    assert ours[1] == theirs[1] == 0 and _same_bits(ours[0], theirs[0])
+    assert _same_bits(ndtr(_NDTR_POINTS), scipy.special.ndtr(_NDTR_POINTS))
+
+
+class TestScipyBinding:
+    def test_bound_routines_match_scipy_bit_for_bit(self):
+        _check_routines(common.dtrsm, common.dpotrf, common.dpotri, common.ndtr)
+
+    def _bind_all(self, monkeypatch):
+        for extension, _, _ in _ROUTINES:
+            monkeypatch.delitem(sys.modules, extension, raising=False)
+        bound = [common._scipy_routine(*args) for args in _ROUTINES]
+        assert not any(extension in sys.modules for extension, _, _ in _ROUTINES)
+        return bound
+
+    def test_file_lookup_miss_binds_the_public_names(self, monkeypatch):
+        monkeypatch.setattr(common, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        bound = self._bind_all(monkeypatch)
+        for routine, (_, name, public) in zip(bound, _ROUTINES):
+            assert routine is getattr(sys.modules[public], name)
+        _check_routines(*bound)
+
+    def test_file_that_does_not_load_binds_the_public_names(self, monkeypatch, tmp_path):
+        # a scipy directory whose extension files are not loadable
+        suffix = common.EXTENSION_SUFFIXES[0]
+        for extension, _, _ in _ROUTINES:
+            path = tmp_path.joinpath(*extension.split(".")[1:])
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.with_name(path.name + suffix).write_bytes(b"not an extension module")
+        fake = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(common.importlib.util, "find_spec",
+                            lambda name: fake if name == "scipy" else None)
+        bound = self._bind_all(monkeypatch)
+        for routine, (_, name, public) in zip(bound, _ROUTINES):
+            assert routine is getattr(sys.modules[public], name)
+
+    def test_loading_from_the_files_matches_scipy(self, monkeypatch):
+        _check_routines(*self._bind_all(monkeypatch))
+
+    def test_scipy_imports_after_knotgp(self):
+        # knotgp leaves scipy's packages unimported and sys.modules without
+        # the extensions it loaded, so a later import runs as usual
+        code = ("import numpy as np, knotgp.bench, knotgp.cli\n"
+                "from knotgp import common\n"
+                "import scipy.linalg, scipy.special\n"
+                "x = np.linspace(-5.0, 5.0, 101)\n"
+                "assert scipy.special.ndtr(x).tobytes() == common.ndtr(x).tobytes()\n"
+                "assert scipy.linalg._fblas.dtrsm and scipy.special._special_ufuncs.ndtr\n"
+                "a = np.array([[4.0, 2.0], [2.0, 3.0]])\n"
+                "assert (scipy.linalg.cholesky(a, lower=True) == common.chol_lower(a)).all()\n")
+        src = str(Path(common.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                       check=True)

@@ -438,6 +438,29 @@ class TestOatSelect:
         np.testing.assert_array_equal(a_trace.objective_values,
                                       b_trace.objective_values)
 
+    def test_steps_record_and_log_each_inner_search(self, monkeypatch, caplog):
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(maximize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(selection, "maximize", spy)
+        x, y = _toy_1d(n=70)
+        config = OATConfig(initial_knot_count=3, max_knots=6, proposal="rs",
+                           rs_subset_size=8, improvement_tol=1e-9, rng_seed=6)
+        with caplog.at_level("INFO", logger="knotgp.selection"):
+            _, trace = oat_select(x, y, KernelParams(1.0, 0.3, 0.1), config,
+                                  OptimizerConfig(max_steps=40))
+        assert len(trace.steps) == len(results) == 4
+        assert {step.stop_reason for step in trace.steps} <= {"converged", "max_steps"}
+        for step, res in zip(trace.steps, results):
+            assert step.n_steps == len(res.trace) - 1
+            assert step.stop_reason == res.stop_reason
+        lines = [r.getMessage() for r in caplog.records if r.name == "knotgp.selection"]
+        assert lines == [f"OAT {s.knot_count} knots: objective {s.objective_after:.6f} "
+                         f"after {s.n_steps} steps ({s.stop_reason})" for s in trace.steps]
+
     def test_fic_objective_runs(self):
         x, y = _toy_1d(n=60)
         config = OATConfig(initial_knot_count=3, max_knots=5, proposal="rs",
