@@ -31,6 +31,8 @@ logger = logging.getLogger(__name__)
 
 KNOT_SELECTIONS = ("OAT-BO", "OAT-RS", "Simult", "none")
 APPROXIMATIONS = ("VFE", "FIC", "FullGP")
+# an experiment's default initial parameters; the latent jitter follows s2
+_INIT_PARAMS = {"signal_variance": 1.0, "lengthscale": 1.0, "noise_variance": 0.1}
 
 RESULT_COLUMNS = ("run", "model_id", "mnlp", "srmse", "aukl", "log10_aukl",
                   "seconds", "knots")
@@ -203,7 +205,7 @@ class ExperimentConfig:
     oat: OATConfig = field(default_factory=OATConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_dir: str = "results"
-    init_params: KernelParams = field(default_factory=lambda: KernelParams(1.0, 1.0, 0.1))
+    init_params: KernelParams = field(default_factory=lambda: KernelParams(**_INIT_PARAMS))
     record_timing: bool = True
 
     def __post_init__(self):
@@ -227,14 +229,12 @@ class ExperimentConfig:
         """Build a config from parsed JSON; an unknown key raises ``TypeError``.
         The OAT seed defaults to the experiment seed."""
         raw = dict(raw)
-        init = {"signal_variance": 1.0, "lengthscale": 1.0, "noise_variance": 0.1,
-                **raw.pop("init_params", {})}
         nested = dict(
             filter_rules=[tuple(rule) for rule in raw.pop("filter_rules", [])],
             model_roster=[RosterEntry(**entry) for entry in raw.pop("model_roster", [])],
-            oat=OATConfig(**{"rng_seed": raw.get("rng_seed", 0), **raw.pop("oat", {})}),
+            oat=OATConfig(**{"rng_seed": raw.get("rng_seed", cls.rng_seed), **raw.pop("oat", {})}),
             optimizer=OptimizerConfig(**raw.pop("optimizer", {})),
-            init_params=KernelParams(**init),
+            init_params=KernelParams(**{**_INIT_PARAMS, **raw.pop("init_params", {})}),
         )
         return cls(**raw, **nested)
 

@@ -8,9 +8,10 @@ previous knots stay frozen. A simultaneous-refinement path optimizes every
 knot coordinate jointly for a fixed knot count. Both run through one sparse
 search, :func:`_optimize_params_and_knot`, which starts from a model (with
 the k-means knots, with the proposed knot appended, or the refinement's
-start) and frees none of its knots for the initial fit, the new knot in each
-round, or all of them. The search only runs the optimizer: the start model's
-``SparseGPModel._ascent`` evaluates each point and builds the result.
+start) and frees, as ``SparseGPModel.objective_grad``'s keywords say, none of
+its knots for the initial fit, the new knot in each round, or all of them.
+The search only runs the optimizer: the start model's ``_ascent`` evaluates
+each point and builds the result.
 
 Proposals always return a member of the candidate pool; continuous movement
 of a knot happens only inside the gradient step that follows. Each probed
@@ -244,13 +245,13 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     return pool[best_idx].copy()
 
 
-def _optimize_params_and_knot(start: SparseGPModel, free: int | str | None,
-                              optimizer_config: OptimizerConfig):
-    """Ascent from ``start`` over the parameters and the ``free`` knots (see
-    ``SparseGPModel._ascent``); returns (model, MaximizeResult). The model is
-    rebuilt at the best-seen point, so the search never reports worse than
-    its starting objective. The search does not keep ``start`` alive."""
-    objective_with_grad, init, model_at = start._ascent(free)
+def _optimize_params_and_knot(start: SparseGPModel, optimizer_config: OptimizerConfig,
+                              active_knot_index: int | None = None, all_knots: bool = False):
+    """Ascent from ``start`` over the parameters and the knots that
+    ``objective_grad``'s keywords free, checked first; returns (model,
+    MaximizeResult), the model rebuilt at the best-seen point, so never worse
+    than at the start. The search does not keep ``start`` alive."""
+    objective_with_grad, init, model_at = start._ascent(active_knot_index, all_knots)
     del start
     res = maximize(objective_with_grad, init, optimizer_config)
     return model_at(res.x), res
@@ -266,7 +267,8 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
     ``max_knots`` or when a round's improvement falls below
     ``improvement_tol * (|objective| + 1)``. The trace holds one step for the
     initial fit and one per round, each with its inner search's ``n_steps``
-    and ``stop_reason``, and each step is logged at INFO.
+    and ``stop_reason``. Each step is logged at INFO, and an initial fit that
+    stops at ``max_steps`` with a WARNING.
     """
     x, y = _training_data(x, y)
     approx = _OBJECTIVE_APPROX[config.objective]
@@ -286,22 +288,23 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
     knots = kmeans_init(x, config.initial_knot_count, kmeans_seed)
     t0 = time.perf_counter()
     model, res = _optimize_params_and_knot(SparseGPModel(approx, x, y, init_params, knots),
-                                           None, optimizer_config)
+                                           optimizer_config)
     record(res, 0.0, time.perf_counter() - t0, None)
+    if res.stop_reason == "max_steps":
+        logger.warning("OAT initial fit stopped at max_steps (%d steps)", res.n_steps)
     if res.stop_reason.startswith("non_finite"):
         trace.stopped_because = f"initial optimization: {res.stop_reason}"
         return model, trace
 
-    pool = x
     for round_seed in round_seeds:
         previous = model.objective()
         tp = time.perf_counter()
         try:
             if config.proposal == "bo":
-                location = propose_bo(model, pool, config.bo_budget,
+                location = propose_bo(model, x, config.bo_budget,
                                       config.bo_initial_design, round_seed)
             else:
-                location = propose_rs(model, pool, config.rs_subset_size, round_seed)
+                location = propose_rs(model, x, config.rs_subset_size, round_seed)
         except NumericalError as err:
             trace.stopped_because = f"proposal failed: {err}"
             break
@@ -311,7 +314,8 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
         to = time.perf_counter()
         try:
             model, res = _optimize_params_and_knot(
-                SparseGPModel(approx, x, y, model.params, knots), len(knots) - 1, optimizer_config)
+                SparseGPModel(approx, x, y, model.params, knots), optimizer_config,
+                active_knot_index=len(knots) - 1)
         except (NumericalError, ValueError) as err:
             trace.stopped_because = f"inner optimization failed: {err}"
             break
@@ -334,5 +338,5 @@ def simultaneous_optimize(x, y, init_params: KernelParams, init_knots,
     point, so refinement never reports worse than its starting objective.
     """
     return _optimize_params_and_knot(
-        SparseGPModel(_objective_approx(objective), x, y, init_params, init_knots), "all",
-        optimizer_config or OptimizerConfig())
+        SparseGPModel(_objective_approx(objective), x, y, init_params, init_knots),
+        optimizer_config or OptimizerConfig(), all_knots=True)

@@ -51,7 +51,9 @@ every entry of ``S`` and ``Suu`` scales linearly in s2, which keeps the
 log-s2 direction exact.
 
 The gradient ascent's search vector, its evaluation and the knots' distance
-buffers it updates in place all live in :meth:`SparseGPModel._ascent`.
+buffers it updates in place all live in :meth:`SparseGPModel._ascent`. The
+ascent and the gradient name the free knots alike, by one row slice from
+:meth:`SparseGPModel._free_rows`: every knot, one knot, or none (empty).
 
 Prediction at test points with whitened cross covariances ``v = L^{-1} k``
 needs one triangular solve: the mean is ``m + v^T c`` with
@@ -339,6 +341,17 @@ class SparseGPModel:
 
     # -- gradients -----------------------------------------------------------
 
+    def _free_rows(self, active_knot_index: int | None, all_knots: bool) -> slice:
+        """The rows of the knots whose coordinates are free: all of them with
+        ``all_knots``, the one ``active_knot_index``, or none (an empty slice)."""
+        if active_knot_index is None:
+            return slice(None) if all_knots else slice(0, 0)
+        if all_knots:
+            raise ValueError("request either one active knot or all knots, not both")
+        if not 0 <= active_knot_index < self.n_knots:
+            raise IndexError(f"knot index {active_knot_index} out of range")
+        return slice(active_knot_index, active_knot_index + 1)
+
     def objective_grad(self, active_knot_index: int | None = None,
                        all_knots: bool = False):
         """Objective value and gradient.
@@ -348,17 +361,7 @@ class SparseGPModel:
         knot follow; with ``all_knots=True`` the derivatives of every knot
         coordinate follow in row-major knot order.
         """
-        if active_knot_index is not None and all_knots:
-            raise ValueError("request either one active knot or all knots, not both")
-        if active_knot_index is not None and not (0 <= active_knot_index < self.n_knots):
-            raise IndexError(f"knot index {active_knot_index} out of range")
-        if all_knots:
-            rows = slice(None)
-        elif active_knot_index is not None:
-            rows = slice(active_knot_index, active_knot_index + 1)
-        else:
-            rows = None
-
+        rows = self._free_rows(active_knot_index, all_knots)
         adjoint = self._dtc_adjoint if self.approx is Approximation.DTC else self._fic_adjoint
         ell2 = self.params.lengthscale ** 2
         va = self._v @ self._alpha
@@ -366,29 +369,25 @@ class SparseGPModel:
             rows, self._s * self._d2_ux, va, tri_solve(self._luu, va, trans=True))
         # d S / d log ell = W / ell2 with W = S * D2, and likewise for Suu
         d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
-        grad = np.array([d_log_s2, d_log_ell, d_log_tau2], dtype=float)
-        if rows is not None:
-            # d S_kn / d u_k = S_kn (x_n - u_k) / ell2, and likewise for Suu
-            u = self.knots.locations
-            gs = grad_s_rows * self._s[rows]
-            gk = grad_uu[rows] * self._kuu[rows]
-            step = (gs @ self.x - gs.sum(axis=1)[:, None] * u[rows]
-                    + 2.0 * (gk @ u - gk.sum(axis=1)[:, None] * u[rows])) / ell2
-            grad = np.concatenate([grad, step.reshape(-1)])
+        # d S_kn / d u_k = S_kn (x_n - u_k) / ell2, and likewise for Suu
+        u = self.knots.locations
+        gs = grad_s_rows * self._s[rows]
+        gk = grad_uu[rows] * self._kuu[rows]
+        step = (gs @ self.x - gs.sum(axis=1)[:, None] * u[rows]
+                + 2.0 * (gk @ u - gk.sum(axis=1)[:, None] * u[rows])) / ell2
+        grad = np.concatenate([[d_log_s2, d_log_ell, d_log_tau2], step.reshape(-1)])
         return self.objective(), grad
 
-    def _ascent(self, free: int | str | None):
+    def _ascent(self, active_knot_index: int | None = None, all_knots: bool = False):
         """(objective_with_grad, init, model_at) for an ascent from this model
-        over (log s2, log ell, log tau2) and, in row-major order, the free
-        knots' coordinates; ``free`` is None, one knot index, or ``"all"``.
+        over (log s2, log ell, log tau2) and, in row-major order, the
+        coordinates of the knots that :meth:`objective_grad`'s arguments free.
         Each evaluation checks only the free coordinates and recomputes only
         their rows and columns of buffered knot distances. ``model_at`` builds
         through the public constructor. The closures do not hold this model.
         """
         approx, x, y, params, mean = self.approx, self.x, self.y, self.params, self.mean_constant
-        all_knots = free == "all"
-        active = None if all_knots else free
-        rows = slice(None) if all_knots else slice(0, 0) if free is None else slice(free, free + 1)
+        rows = self._free_rows(active_knot_index, all_knots)
         kn = self.knots.locations.copy()
         d = kn.shape[1]
         x_sq = _row_norms(x)
@@ -396,19 +395,18 @@ class SparseGPModel:
 
         def objective_with_grad(vec):
             p = params.with_log_vector(vec[:3])
-            if free is not None:
-                if not np.isfinite(vec[3:]).all():
-                    raise ValueError("knot locations contains non-finite entries")
-                kn[rows] = vec[3:].reshape(-1, d)
-                block = _squared_distances(kn[rows], kn, _row_norms(kn))
-                # column first: with every knot free, ``block`` need not be exactly
-                # symmetric, and its rows are what a fresh build computes
-                d2_uu[:, rows] = block.T
-                d2_uu[rows] = block
-                d2_ux[rows] = _squared_distances(kn[rows], x, x_sq)
+            if not np.isfinite(vec[3:]).all():
+                raise ValueError("knot locations contains non-finite entries")
+            kn[rows] = vec[3:].reshape(-1, d)
+            block = _squared_distances(kn[rows], kn, _row_norms(kn))
+            # column first: with every knot free, ``block`` need not be exactly
+            # symmetric, and its rows are what a fresh build computes
+            d2_uu[:, rows] = block.T
+            d2_uu[rows] = block
+            d2_ux[rows] = _squared_distances(kn[rows], x, x_sq)
             model = object.__new__(SparseGPModel)    # no checks or distance work
             model._init(approx, x, y, p, KnotSet._unchecked(kn), mean, d2_uu, d2_ux)
-            return model.objective_grad(active_knot_index=active, all_knots=all_knots)
+            return model.objective_grad(active_knot_index, all_knots)
 
         def model_at(vec):
             knots = kn.copy()                        # only its free rows ever change
@@ -459,9 +457,7 @@ class SparseGPModel:
         d_log_s2 = 0.5 * float(va @ va) - 0.5 * tr_e - penalty
         d_log_tau2 = -0.5 * (self.n_train - tr_e) + 0.5 * tau2 * float(alpha @ alpha) + penalty
 
-        grad_s_rows = None
-        if rows is not None:
-            grad_s_rows = g[rows, None] * alpha + (le[rows] @ v) / tau2
+        grad_s_rows = g[rows, None] * alpha + (le[rows] @ v) / tau2
         return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
 
     def _fic_adjoint(self, rows, w, va, g):
@@ -499,11 +495,8 @@ class SparseGPModel:
                     + sum_lam_bar * (s2 + jitter))
         d_log_tau2 = sum_lam_bar * tau2
 
-        grad_s_rows = None
-        if rows is not None:
-            # row i of L^{-T} is (L^{-1} e_i)^T
-            unit = np.eye(k)[:, rows]
-            grad_s_rows = tri_solve(luu, unit).T @ r
+        # row i of L^{-T} is (L^{-1} e_i)^T
+        grad_s_rows = tri_solve(luu, np.eye(k)[:, rows]).T @ r
         return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
 
     # -- prediction ----------------------------------------------------------

@@ -50,7 +50,7 @@ def build_state(objective: str, seed: int, n_knots: int, n_rows: int) -> SparseG
     x, y = airfoil_rows(seed, n_rows)
     start = SparseGPModel(_OBJECTIVE_APPROX[objective], x, y, INIT_PARAMS,
                           kmeans_init(x, n_knots, seed))
-    return _optimize_params_and_knot(start, None, OptimizerConfig())[0]
+    return _optimize_params_and_knot(start, OptimizerConfig())[0]
 
 
 def rebuilt_gains(model: SparseGPModel, pool: np.ndarray) -> np.ndarray:

@@ -231,6 +231,13 @@ class TestExperimentConfig:
         assert config.oat.max_knots == 10
         assert config.optimizer.max_steps == 44
         assert config.init_params.signal_variance == 2.0
+        assert config.init_params.latent_jitter == 2.0e-6
+        # a partial entry keeps the other defaults and the default jitter ratio
+        partial = ExperimentConfig.from_dict({**raw, "init_params": {"signal_variance": 2.0}})
+        assert partial.init_params == KernelParams(2.0, 1.0, 0.1)
+        assert partial.init_params.latent_jitter == 2.0e-6
+        assert ExperimentConfig.from_dict({k: v for k, v in raw.items() if k != "rng_seed"}
+                                          ).oat.rng_seed == 0
         assert config.filter_rules == [("y", "!=", 50.0)]
         assert config.model_roster[1].knot_selection == "OAT-BO"
 

@@ -195,7 +195,7 @@ class TestInnerLoopDistanceCache:
     model's mean, whether it frees no knot, one knot or all of them."""
 
     @staticmethod
-    def _inner_objective(monkeypatch, objective, x, y, params, knots, active,
+    def _inner_objective(monkeypatch, objective, x, y, params, knots, free,
                          mean_constant=0.0):
         captured = []
 
@@ -206,41 +206,41 @@ class TestInnerLoopDistanceCache:
         monkeypatch.setattr(selection, "maximize", spy)
         start = SparseGPModel(selection._OBJECTIVE_APPROX[objective], x, y, params, knots,
                               mean_constant)
-        selection._optimize_params_and_knot(start, active, OptimizerConfig())
+        selection._optimize_params_and_knot(start, OptimizerConfig(), **free)
         return captured[0]
 
     @pytest.mark.parametrize("objective", ["vfe", "fic"])
-    @pytest.mark.parametrize("active", [None, 2, 5, "all"])
-    def test_matches_fresh_model(self, monkeypatch, objective, active):
+    @pytest.mark.parametrize("free", [{}, {"active_knot_index": 2}, {"active_knot_index": 5},
+                                      {"all_knots": True}], ids=["None", "2", "5", "all"])
+    def test_matches_fresh_model(self, monkeypatch, objective, free):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((150, 3))
         y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(150)
         knots = x[:6] + 0.05 * rng.standard_normal((6, 3))
         params = KernelParams(1.2, 0.9, 0.2)
-        fg = self._inner_objective(monkeypatch, objective, x, y, params, knots, active,
+        fg = self._inner_objective(monkeypatch, objective, x, y, params, knots, free,
                                    mean_constant=0.3)
         approx = selection._OBJECTIVE_APPROX[objective]
+        active = free.get("active_knot_index")
         for _ in range(4):
             vec = params.log_vector() + 0.2 * rng.standard_normal(3)
             moved = knots.copy()
-            if active == "all":
+            if free.get("all_knots"):
                 moved += 0.3 * rng.standard_normal(moved.shape)
                 vec = np.concatenate([vec, moved.reshape(-1)])
-                free = {"all_knots": True}
-            else:
-                free = {"active_knot_index": active}
-                if active is not None:
-                    moved[active] += 0.3 * rng.standard_normal(3)
-                    vec = np.concatenate([vec, moved[active]])
+            elif active is not None:
+                moved[active] += 0.3 * rng.standard_normal(3)
+                vec = np.concatenate([vec, moved[active]])
             value, grad = fg(vec)
             fresh_value, fresh_grad = SparseGPModel(
                 approx, x, y, params.with_log_vector(vec[:3]), moved, mean_constant=0.3
             ).objective_grad(**free)
             assert abs(value - fresh_value) <= 1e-12 * abs(fresh_value)
             assert np.max(np.abs(grad - fresh_grad)) <= 1e-12 * np.max(np.abs(fresh_grad))
-            if active == "all":
+            if active is None:
                 # with every knot free, simultaneous refinement evaluates
-                # exactly what a fresh build does
+                # exactly what a fresh build does; with none free, the
+                # buffers hold a fresh build's distances untouched
                 assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
                 assert grad.tobytes() == fresh_grad.tobytes()
 
@@ -249,7 +249,8 @@ class TestInnerLoopDistanceCache:
         x = rng.standard_normal((40, 2))
         y = rng.standard_normal(40)
         params = KernelParams(1.0, 1.0, 0.1)
-        for free, coords in ((2, x[2].copy()), ("all", x[:3].copy())):
+        for free, coords in (({"active_knot_index": 2}, x[2].copy()),
+                             ({"all_knots": True}, x[:3].copy())):
             fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:3].copy(), free)
             coords.reshape(-1)[-2] = np.nan
             with pytest.raises(ValueError,
@@ -261,7 +262,8 @@ class TestInnerLoopDistanceCache:
         x = rng.standard_normal((60, 3))
         y = rng.standard_normal(60)
         params = KernelParams(1.0, 0.8, 0.1)
-        for free, coords in ((4, x[10]), ("all", x[10:15].reshape(-1))):
+        for free, coords in (({"active_knot_index": 4}, x[10]),
+                             ({"all_knots": True}, x[10:15].reshape(-1))):
             fg = self._inner_objective(monkeypatch, "vfe", x, y, params, x[:5].copy(), free)
             v1 = np.concatenate([params.log_vector(), coords])
             v2 = np.concatenate([params.log_vector() + 0.3, coords[::-1] + 1.0])
@@ -303,7 +305,8 @@ class TestValidationOutsideTheLoop:
                 return full_gp.fit_hyperparameters(x[:29], y[:29], params, config)[1]
             if search == "inner_loop":
                 start = SparseGPModel(Approximation.DTC, x, y, params, knots)
-                return selection._optimize_params_and_knot(start, 3, config)[1]
+                return selection._optimize_params_and_knot(start, config,
+                                                           active_knot_index=3)[1]
             return simultaneous_optimize(x, y, params, knots, "vfe", config)[1]
 
         counts = self._count(monkeypatch)
@@ -354,9 +357,26 @@ def test_search_does_not_keep_its_start_model_alive(monkeypatch):
         return maximize(fg, init, OptimizerConfig(max_steps=2))
 
     monkeypatch.setattr(selection, "maximize", spy)
-    for free in (None, 2, "all"):
-        selection._optimize_params_and_knot(start(), free, OptimizerConfig())
+    # keywords, not ``**free``: a star call holds its positional arguments in a
+    # tuple for the call's duration, and with them the start model
+    for index, every in ((None, False), (2, False), (None, True)):
+        selection._optimize_params_and_knot(start(), OptimizerConfig(),
+                                            active_knot_index=index, all_knots=every)
     assert alive == [False, False, False]
+
+
+@pytest.mark.parametrize("free", [{"active_knot_index": 4}, {"active_knot_index": -1},
+                                  {"active_knot_index": 0, "all_knots": True}])
+def test_free_knots_checked_before_the_search(monkeypatch, free):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((30, 2))
+    calls = []
+    monkeypatch.setattr(selection, "maximize", lambda *args: calls.append(args))
+    start = SparseGPModel(Approximation.DTC, x, rng.standard_normal(30),
+                          KernelParams(1.0, 1.0, 0.1), x[:4].copy())
+    with pytest.raises(ValueError if free.get("all_knots") else IndexError):
+        selection._optimize_params_and_knot(start, OptimizerConfig(), **free)
+    assert calls == []
 
 
 class TestOatSelect:
@@ -404,10 +424,11 @@ class TestOatSelect:
 
         original = selection._optimize_params_and_knot
 
-        def spy(start, active_index, opt_cfg):
+        def spy(start, opt_cfg, **free):
             knots = start.knots.locations.copy()
-            model, res = original(start, active_index, opt_cfg)
-            snapshots.append((knots, model.knots.locations.copy(), active_index))
+            model, res = original(start, opt_cfg, **free)
+            snapshots.append((knots, model.knots.locations.copy(),
+                              free.get("active_knot_index")))
             return model, res
 
         selection._optimize_params_and_knot = spy
@@ -457,9 +478,25 @@ class TestOatSelect:
         for step, res in zip(trace.steps, results):
             assert step.n_steps == len(res.trace) - 1
             assert step.stop_reason == res.stop_reason
-        lines = [r.getMessage() for r in caplog.records if r.name == "knotgp.selection"]
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "knotgp.selection" and r.levelname == "INFO"]
         assert lines == [f"OAT {s.knot_count} knots: objective {s.objective_after:.6f} "
                          f"after {s.n_steps} steps ({s.stop_reason})" for s in trace.steps]
+
+    @pytest.mark.parametrize("max_steps", [2, 1000])
+    def test_warns_when_the_initial_fit_stops_at_max_steps(self, caplog, max_steps):
+        x, y = _toy_1d(n=60)
+        config = OATConfig(initial_knot_count=4, max_knots=4, rng_seed=0)
+        with caplog.at_level("INFO", logger="knotgp.selection"):
+            _, trace = oat_select(x, y, KernelParams(1.0, 0.3, 0.1), config,
+                                  OptimizerConfig(max_steps=max_steps))
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        if max_steps == 2:
+            assert trace.steps[0].stop_reason == "max_steps"
+            assert warnings == ["OAT initial fit stopped at max_steps (2 steps)"]
+        else:
+            assert trace.steps[0].stop_reason == "converged"
+            assert warnings == []
 
     def test_fic_objective_runs(self):
         x, y = _toy_1d(n=60)

@@ -547,7 +547,7 @@ class TestBInverseCache:
         x, y, knots, p = random_instance(np.random.default_rng(45), 12, 4, 2)
         model = SparseGPModel(approx, x, y, p, knots)
         model.objective()
-        objective_with_grad, init, model_at = model._ascent(0)
+        objective_with_grad, init, model_at = model._ascent(active_knot_index=0)
         model_at(init).objective()
         assert formed == []
         objective_with_grad(init)
