@@ -55,15 +55,23 @@ buffers it updates in place all live in :meth:`SparseGPModel._ascent`. The
 ascent and the gradient name the free knots alike, by one row slice from
 :meth:`SparseGPModel._free_rows`: every knot, one knot, or none (empty).
 
-Prediction at test points with whitened cross covariances ``v = L^{-1} k``
-needs one triangular solve: the mean is ``m + v^T c`` with
-``c = B~^{-1} V (r / lam)`` from the build, and the latent variance is
+Prediction at a test point with cross covariance ``k = cov(U, t)`` and
+``v = L^{-1} k`` has mean ``m + v^T c``, with ``c = B~^{-1} V (r / lam)``
+from the build, and latent variance
 
     (s2 + jitter) - v^T (I - B~^{-1}) v
 
-``B~^{-1}`` is cached lazily and read-only: the gradient or the first
-prediction forms it, once per model, and an evaluation of the objective
-alone never does.
+(Quinonero-Candela & Rasmussen 2005). Both are fixed K x K forms in ``k``,
+so all K x K work is done once per model, into a (K + 1) x K factor
+``F = [a^T; P]`` with ``a = L^{-T} c`` and ``P^T P = L^{-T} (I - B~^{-1})
+L^{-1}``; a batch of test points then takes one product ``F k`` and no
+triangular solve. ``P`` comes from the eigendecomposition of ``B~^{-1}``,
+whose eigenvalues lie in (0, 1], so the variance is a sum of squares with
+no cancellation against a large ``L^{-T} (I - B~^{-1}) L^{-1}``.
+
+``B~^{-1}`` and ``F`` are cached lazily and read-only, once per model: the
+gradient or the first prediction forms ``B~^{-1}``, only prediction forms
+``F``, and an evaluation of the objective alone forms neither.
 
 Appending one knot ``u`` with the parameters fixed borders ``L`` with
 ``l = L^{-1} k_u`` and the pivot ``delta = sqrt(delta2)``,
@@ -426,6 +434,25 @@ class SparseGPModel:
         binv.flags.writeable = False
         return binv
 
+    @functools.cached_property
+    def _predictor(self) -> np.ndarray:
+        """The (K + 1, K) prediction factor ``F``, read-only, formed on the
+        first :meth:`predict`, never by :meth:`_build` or the gradient.
+
+        Row 0 is ``a = L^{-T} c``. Rows 1..K are
+        ``P = diag(sqrt(max(1 - mu, 0))) W^T L^{-1}`` with
+        ``B~^{-1} = W diag(mu) W^T``, so ``P^T P = L^{-T} (I - B~^{-1}) L^{-1}``.
+        The eigenvalues ``mu`` lie in (0, 1], so the clip only removes
+        round-off. On near-duplicate knots the factored form keeps the
+        variance as accurate as the whitened ``v``; the product
+        ``L^{-T} (I - B~^{-1}) L^{-1}`` itself does not.
+        """
+        mu, w = np.linalg.eigh(self._b_inverse)
+        rhs = np.column_stack([self._c, w * np.sqrt(np.maximum(1.0 - mu, 0.0))])
+        factor = tri_solve(self._luu, rhs, trans=True).T
+        factor.flags.writeable = False
+        return factor
+
     def _dtc_adjoint(self, rows, w, va, g):
         """Log-s2 and log-tau2 derivatives of the variational objective with
         the contraction of the adjoint of ``S`` with ``w`` between them, the
@@ -513,18 +540,18 @@ class SparseGPModel:
             var_j  = (s2 + jitter) - v_j^T (I - B~^{-1}) v_j
 
         FIC marginals coincide with FITC's. Each call validates the test rows
-        once and makes one triangular solve: the distances, the kernel and
-        ``v`` share one K x m buffer, and the variance takes one K x K x m
-        product with the cached ``B~^{-1}``.
+        once and makes no triangular solve: the distances and the kernel
+        share one K x m buffer, and one product ``z = F k`` with the cached
+        factor :attr:`_predictor` gives ``mean_j = m + z_0j`` and
+        ``var_j = (s2 + jitter) - sum_i z_ij^2`` over rows i = 1..K.
         """
         xt = _test_inputs(test_inputs, self.x)
         params = self.params
         d2 = _squared_distances(self.knots.locations, xt, np.einsum("jd,jd->j", xt, xt))
-        vt = tri_solve(self._luu, _kernel(d2, params, out=d2), _overwrite=True)
-        mean = self.mean_constant + self._c @ vt
-        quad = (np.eye(vt.shape[0]) - self._b_inverse) @ vt
-        quad *= vt
-        var = params.signal_variance + params.latent_jitter - quad.sum(axis=0)
+        z = self._predictor @ _kernel(d2, params, out=d2)
+        mean = self.mean_constant + z[0]
+        quad = z[1:]
+        var = params.signal_variance + params.latent_jitter - np.einsum("kj,kj->j", quad, quad)
         return _clamped_prediction(mean, var, params.noise_variance, self.diagnostics)
 
 

@@ -130,22 +130,24 @@ def mp_predict(approx, x, y, knots, x_test, params, mean_constant=0.0, dps=50):
         suu = mpmath.matrix([[kern(u[i], u[j]) + (jitter if i == j else 0)
                               for j in range(k)] for i in range(k)])
         s = mpmath.matrix([[kern(u[i], p) for p in xs] for i in range(k)])
+        # one factorization each of Suu and A, not one per solve
+        suu_inv = mpmath.inverse(suu)
         if approx == "fic":
-            lam = [s2 + jitter - mpmath.fdot(s[:, n], mpmath.lu_solve(suu, s[:, n])) + tau2
+            lam = [s2 + jitter - mpmath.fdot(s[:, n], suu_inv * s[:, n]) + tau2
                    for n in range(len(xs))]
         else:
             lam = [tau2] * len(xs)
         weighted = mpmath.matrix([[s[i, n] / lam[n] for n in range(len(xs))]
                                   for i in range(k)])
-        a = suu + weighted * s.T
+        a_inv = mpmath.inverse(suu + weighted * s.T)
         resid = [mpf(v) - mpf(mean_constant) for v in np.asarray(y, dtype=float).tolist()]
-        a_sr = mpmath.lu_solve(a, weighted * mpmath.matrix(resid))
+        a_sr = a_inv * (weighted * mpmath.matrix(resid))
         mean, var = np.empty(len(ts)), np.empty(len(ts))
         for j, t in enumerate(ts):
             kt = mpmath.matrix([kern(p, t) for p in u])
             mean[j] = float(mpf(mean_constant) + mpmath.fdot(kt, a_sr))
-            var[j] = float(s2 + jitter - mpmath.fdot(kt, mpmath.lu_solve(suu, kt))
-                           + mpmath.fdot(kt, mpmath.lu_solve(a, kt)))
+            var[j] = float(s2 + jitter - mpmath.fdot(kt, suu_inv * kt)
+                           + mpmath.fdot(kt, a_inv * kt))
     return mean, var
 
 

@@ -508,6 +508,39 @@ class TestPredictSparse:
             np.testing.assert_allclose(dense_var, var, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    @pytest.mark.parametrize("case", ["five near-duplicate knots", "long lengthscale"])
+    def test_ill_conditioned_matches_mp_predict(self, approx, case):
+        if case == "five near-duplicate knots":
+            # at the default jitter ratio; the unfactored variance form
+            # k^T L^{-T} (I - B~^{-1}) L^{-1} k misses the oracle here by 2e-12
+            rng = np.random.default_rng(7)
+            x, y, knots, p = random_instance(rng, 20, 20, 2, jitter_ratio=1e-6)
+            knots = np.vstack([knots, knots[:5] + 1e-5 * rng.standard_normal((5, 2))])
+            xt = np.vstack([1.5 * rng.standard_normal((5, 2)), knots[:5] + 1e-3,
+                            knots[20:] + 1e-3])
+        else:
+            # Airfoil-scale inputs under a large s2 and lengthscale: a float64
+            # solve of the unwhitened Suu + S S^T / tau2 misses this DTC mean
+            # by 5e-8, and the unfactored variance form misses by 1.8e-11
+            rng = np.random.default_rng(52)
+            x = rng.standard_normal((60, 5))
+            y = (np.sin(x[:, 0]) + 0.6 * np.cos(1.3 * x[:, 1]) + 0.3 * x[:, 2]
+                 + 0.25 * rng.standard_normal(60))
+            y = (y - y.mean()) / y.std()
+            knots = x[rng.choice(60, 12, replace=False)]
+            xt = rng.standard_normal((8, 5))
+            p = KernelParams(17.3, 11.1, 0.05)
+        model = fit_sparse(approx, x, y, p, knots)
+        assert not model.diagnostics
+        if case == "five near-duplicate knots":
+            assert np.linalg.cond(model._luu @ model._luu.T) >= 1e7
+        pred = model.predict(xt)
+        mean, var = mp_predict(approx.value, x, y, knots, xt, p)
+        tol = 1e-12 * (p.signal_variance + p.latent_jitter)
+        assert np.max(np.abs(pred.latent_mean - mean)) <= tol
+        assert np.max(np.abs(pred.latent_variance - var)) <= tol
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
     def test_chunks_concatenate_bitwise(self, approx):
         # split at a multiple of the 1,024-row chunks the benchmark serves in;
         # a split at an odd row can move the last bit through the remainder
@@ -525,20 +558,21 @@ class TestPredictSparse:
 
 class TestBInverseCache:
     """``B~^{-1}`` is formed lazily, once per model, and shared read-only by
-    the gradient and prediction."""
+    the gradient and prediction; the prediction factor ``F`` is formed
+    lazily, once per model, by prediction alone."""
 
     @staticmethod
-    def _counted(monkeypatch):
+    def _counted(monkeypatch, name="_b_inverse"):
         formed = []
-        original = SparseGPModel.__dict__["_b_inverse"].func
+        original = SparseGPModel.__dict__[name].func
 
         def counted(model):
             formed.append(model)
             return original(model)
 
         cached = functools.cached_property(counted)
-        cached.__set_name__(SparseGPModel, "_b_inverse")
-        monkeypatch.setattr(SparseGPModel, "_b_inverse", cached)
+        cached.__set_name__(SparseGPModel, name)
+        monkeypatch.setattr(SparseGPModel, name, cached)
         return formed
 
     @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
@@ -573,6 +607,42 @@ class TestBInverseCache:
         assert not binv.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             binv[0, 0] = 0.0
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    def test_objective_and_gradient_never_form_the_prediction_factor(self, monkeypatch,
+                                                                     approx):
+        formed = self._counted(monkeypatch, "_predictor")
+        x, y, knots, p = random_instance(np.random.default_rng(49), 12, 4, 2)
+        model = SparseGPModel(approx, x, y, p, knots)
+        model.objective()
+        model.objective_grad(all_knots=True)
+        objective_with_grad, init, model_at = model._ascent(active_knot_index=0)
+        objective_with_grad(init)
+        model_at(init).objective()
+        assert formed == []
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    def test_prediction_factor_formed_once(self, monkeypatch, approx):
+        formed = self._counted(monkeypatch, "_predictor")
+        x, y, knots, p = random_instance(np.random.default_rng(50), 12, 4, 2)
+        model = SparseGPModel(approx, x, y, p, knots)
+        xt = np.random.default_rng(51).standard_normal((7, 2))
+        first = model.predict(xt)
+        second = model.predict(xt)
+        model.objective_grad(all_knots=True)
+        assert formed == [model]
+        assert first.latent_mean.tobytes() == second.latent_mean.tobytes()
+        assert first.latent_variance.tobytes() == second.latent_variance.tobytes()
+
+    def test_prediction_factor_read_only(self):
+        x, y, knots, p = random_instance(np.random.default_rng(52), 12, 4, 2)
+        model = SparseGPModel(Approximation.DTC, x, y, p, knots)
+        factor = model._predictor
+        assert factor is model._predictor
+        assert factor.shape == (5, 4)
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 0.0
 
 
 class TestPriorVarianceReport:
