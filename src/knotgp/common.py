@@ -1,9 +1,9 @@
 """Shared numerical helpers and result containers.
 
-The package calls four compiled scipy routines: BLAS ``dtrsm``, LAPACK
-``dpotrf`` and ``dpotri``, and the ``ndtr`` ufunc. They are bound here, by
-:func:`_scipy_routine`, straight from the extension modules that hold them
-(``scipy/linalg/_fblas``, ``scipy/linalg/_flapack`` and
+The package calls five compiled scipy routines: BLAS ``dtrsm`` and
+``dgemm``, LAPACK ``dpotrf`` and ``dpotri``, and the ``ndtr`` ufunc. They
+are bound here, by :func:`_scipy_routine`, straight from the extension
+modules that hold them (``scipy/linalg/_fblas``, ``scipy/linalg/_flapack`` and
 ``scipy/special/_special_ufuncs``), so no ``__init__`` of ``scipy.linalg``
 or ``scipy.special`` runs. Those packages pull in scipy's array-API layer,
 which loads ``numpy.f2py``, ``numpy.testing``, ``unittest`` and more, and
@@ -57,6 +57,7 @@ def _scipy_routine(extension: str, routine: str, public: str):
 
 
 dtrsm = _scipy_routine("scipy.linalg._fblas", "dtrsm", "scipy.linalg.blas")
+dgemm = _scipy_routine("scipy.linalg._fblas", "dgemm", "scipy.linalg.blas")
 dpotrf = _scipy_routine("scipy.linalg._flapack", "dpotrf", "scipy.linalg.lapack")
 dpotri = _scipy_routine("scipy.linalg._flapack", "dpotri", "scipy.linalg.lapack")
 ndtr = _scipy_routine("scipy.special._special_ufuncs", "ndtr", "scipy.special")

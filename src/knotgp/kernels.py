@@ -90,15 +90,18 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return (a * a).sum(axis=1)
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+def _squared_distances(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """:func:`squared_distances` for finite float matrices of equal width,
     given ``b``'s squared row norms; makes no checks, so a caller that
     reuses ``b`` can validate it and compute its norms once.
 
-    The steps run in place on the one new array ``a @ b.T``, as the same
-    IEEE operations in the same order as ``|a|^2 - 2 a.b + |b|^2``, so the
-    result does not depend on which of the two forms computed it."""
-    d2 = a @ b.T
+    The steps run in place on ``a @ b.T``, formed in one new array or in
+    ``out``, a C-contiguous float (n, m) array such as rows of a distance
+    buffer, as the same IEEE operations in the same order as
+    ``|a|^2 - 2 a.b + |b|^2``, so the result does not depend on which of the
+    two forms, or which destination, computed it."""
+    d2 = np.matmul(a, b.T, out=out)
     d2 *= -2.0
     d2 += _row_norms(a)[:, None]
     d2 += b_sq[None, :]

@@ -42,10 +42,14 @@ marginal likelihood.
 Gradients are assembled by the adjoint method: each objective is
 differentiated with respect to the matrix atoms ``S`` and ``Suu`` and the
 scalars it touches directly, after which a chain rule maps those atom
-gradients onto (log s2, log ell, log tau2) and knot coordinates. For DTC the
-parameter derivatives reduce to K x K statistics (``V V^T`` through ``B~``,
-``W V^T`` with ``W = S * D2``, and ``V alpha``), and rows of the K x N adjoint
-of ``S`` are formed only for the knots whose coordinates are requested. FIC
+gradients onto (log s2, log ell, log tau2) and knot coordinates. With every
+knot free, the whole K x N adjoint of ``S`` is needed for the knot steps, so
+it is formed once, in one array (for DTC, one BLAS ``dgemm`` accumulating
+into ``g alpha^T``), multiplied by ``S`` in place, and the lengthscale
+term ``adj S . (S * D2)`` and every knot step are read off that product.
+With one knot free or none, the DTC parameter derivatives reduce to K x K
+statistics (``V V^T`` through ``B~``, ``W V^T`` with ``W = S * D2``, and
+``V alpha``), and only the free knot's row of adj S is formed, or none. FIC
 keeps its per-point terms. With the jitter tied to the signal variance,
 every entry of ``S`` and ``Suu`` scales linearly in s2, which keeps the
 log-s2 direction exact.
@@ -100,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from .common import (LOG_2PI, PredictiveDistribution, _clamped_prediction, _test_inputs,
-                     _training_data, as_input_matrix, chol_lower, tri_solve)
+                     _training_data, as_input_matrix, chol_lower, dgemm, tri_solve)
 from .kernels import (KernelParams, _kernel, _row_norms, _squared_distances, cov_matrix,
                       squared_distances)
 
@@ -114,6 +118,9 @@ COINCIDENCE_TOL = 1e-9
 PIVOT_FLOOR = 1e-10
 # candidate rows per block of the rank-one gain pass
 GAIN_CHUNK = 256
+
+# the free-knot rows when no knot is free
+_NO_KNOTS = slice(0, 0)
 
 
 class Approximation(enum.Enum):
@@ -353,7 +360,7 @@ class SparseGPModel:
         """The rows of the knots whose coordinates are free: all of them with
         ``all_knots``, the one ``active_knot_index``, or none (an empty slice)."""
         if active_knot_index is None:
-            return slice(None) if all_knots else slice(0, 0)
+            return slice(None) if all_knots else _NO_KNOTS
         if all_knots:
             raise ValueError("request either one active knot or all knots, not both")
         if not 0 <= active_knot_index < self.n_knots:
@@ -368,18 +375,30 @@ class SparseGPModel:
         ``active_knot_index`` set, the d coordinate derivatives of that single
         knot follow; with ``all_knots=True`` the derivatives of every knot
         coordinate follow in row-major knot order.
+
+        With every knot free, the adjoint returns the whole K x N adjoint of
+        ``S`` in one array, which is multiplied by ``S`` in place; the
+        lengthscale term and every knot step are read off that product.
+        Otherwise the lengthscale term is the adjoint's K x K trace form and
+        only the free knot's row of adj S is formed, or none.
         """
         rows = self._free_rows(active_knot_index, all_knots)
         adjoint = self._dtc_adjoint if self.approx is Approximation.DTC else self._fic_adjoint
         ell2 = self.params.lengthscale ** 2
         va = self._v @ self._alpha
-        (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows = adjoint(
-            rows, self._s * self._d2_ux, va, tri_solve(self._luu, va, trans=True))
         # d S / d log ell = W / ell2 with W = S * D2, and likewise for Suu
+        w = None if all_knots else self._s * self._d2_ux
+        (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s = adjoint(
+            rows, w, va, tri_solve(self._luu, va, trans=True))
+        if all_knots:
+            grad_s *= self._s
+            grad_s_dot_w = np.vdot(grad_s, self._d2_ux)       # adj S . W
         d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
+        if grad_s is None:
+            return self.objective(), np.array([d_log_s2, d_log_ell, d_log_tau2])
         # d S_kn / d u_k = S_kn (x_n - u_k) / ell2, and likewise for Suu
+        gs = grad_s if all_knots else grad_s * self._s[rows]
         u = self.knots.locations
-        gs = grad_s_rows * self._s[rows]
         gk = grad_uu[rows] * self._kuu[rows]
         step = (gs @ self.x - gs.sum(axis=1)[:, None] * u[rows]
                 + 2.0 * (gk @ u - gk.sum(axis=1)[:, None] * u[rows])) / ell2
@@ -391,11 +410,13 @@ class SparseGPModel:
         over (log s2, log ell, log tau2) and, in row-major order, the
         coordinates of the knots that :meth:`objective_grad`'s arguments free.
         Each evaluation checks only the free coordinates and recomputes only
-        their rows and columns of buffered knot distances. ``model_at`` builds
-        through the public constructor. The closures do not hold this model.
+        their rows and columns of buffered knot distances, in place; with no
+        knot free it does neither. ``model_at`` builds through the public
+        constructor. The closures do not hold this model.
         """
         approx, x, y, params, mean = self.approx, self.x, self.y, self.params, self.mean_constant
         rows = self._free_rows(active_knot_index, all_knots)
+        free = rows != _NO_KNOTS
         kn = self.knots.locations.copy()
         d = kn.shape[1]
         x_sq = _row_norms(x)
@@ -403,15 +424,16 @@ class SparseGPModel:
 
         def objective_with_grad(vec):
             p = params.with_log_vector(vec[:3])
-            if not np.isfinite(vec[3:]).all():
-                raise ValueError("knot locations contains non-finite entries")
-            kn[rows] = vec[3:].reshape(-1, d)
-            block = _squared_distances(kn[rows], kn, _row_norms(kn))
-            # column first: with every knot free, ``block`` need not be exactly
-            # symmetric, and its rows are what a fresh build computes
-            d2_uu[:, rows] = block.T
-            d2_uu[rows] = block
-            d2_ux[rows] = _squared_distances(kn[rows], x, x_sq)
+            if free:
+                if not np.isfinite(vec[3:]).all():
+                    raise ValueError("knot locations contains non-finite entries")
+                kn[rows] = vec[3:].reshape(-1, d)
+                block = _squared_distances(kn[rows], kn, _row_norms(kn))
+                # column first: with every knot free, ``block`` need not be
+                # exactly symmetric, and its rows are what a fresh build computes
+                d2_uu[:, rows] = block.T
+                d2_uu[rows] = block
+                _squared_distances(kn[rows], x, x_sq, out=d2_ux[rows])
             model = object.__new__(SparseGPModel)    # no checks or distance work
             model._init(approx, x, y, p, KnotSet._unchecked(kn), mean, d2_uu, d2_ux)
             return model.objective_grad(active_knot_index, all_knots)
@@ -454,10 +476,16 @@ class SparseGPModel:
         return factor
 
     def _dtc_adjoint(self, rows, w, va, g):
-        """Log-s2 and log-tau2 derivatives of the variational objective with
-        the contraction of the adjoint of ``S`` with ``w`` between them, the
-        symmetric adjoint of ``Suu`` and, for the requested rows, that of ``S``,
-        given ``va = V alpha`` and ``g = Suu^{-1} S alpha = L^{-T} va``.
+        """Log-s2 and log-tau2 derivatives of the variational objective, the
+        symmetric adjoint of ``Suu`` and the adjoint of ``S``, given
+        ``va = V alpha`` and ``g = Suu^{-1} S alpha = L^{-T} va``. The
+        adjoint of ``S`` comes in the form the free ``rows`` need:
+
+        - with ``w`` None (every knot free), the whole K x N adj S in one new
+          array, and None in place of its contraction;
+        - otherwise the contraction of adj S with ``w``, between the two
+          derivatives, and the requested rows of adj S, or None when
+          ``rows`` is empty.
 
         With ``E = I - B~^{-1}``:
 
@@ -466,7 +494,8 @@ class SparseGPModel:
 
         whose contractions with ``S`` and ``Suu`` collapse to traces of K x K
         matrices: ``tr(E)``, ``||V alpha||^2`` and, for the lengthscale,
-        ``W V^T`` with ``W = S * D2``.
+        ``W V^T`` with ``W = S * D2``. The whole adj S is one BLAS ``dgemm``
+        that accumulates into ``g alpha^T``.
         """
         tau2 = self.params.noise_variance
         v, luu, alpha = self._v, self._luu, self._alpha
@@ -480,16 +509,23 @@ class SparseGPModel:
         grad_uu = -0.5 * (h @ h.T + g[:, None] * g)
 
         penalty = self.trace_penalty()
-        grad_s_dot_w = g @ (w @ alpha) + (le * (w @ v.T)).sum() / tau2
         d_log_s2 = 0.5 * float(va @ va) - 0.5 * tr_e - penalty
         d_log_tau2 = -0.5 * (self.n_train - tr_e) + 0.5 * tau2 * float(alpha @ alpha) + penalty
+        if w is None:
+            # a C-ordered K x N array is a Fortran-ordered N x K one to BLAS,
+            # so V^T (L^{-T} E)^T / tau2 accumulates in place into (g alpha^T)^T
+            adj_s = dgemm(1.0 / tau2, v.T, le.T, beta=1.0, c=np.outer(g, alpha).T,
+                          overwrite_c=1).T
+            return (d_log_s2, None, d_log_tau2), grad_uu, adj_s
 
-        grad_s_rows = g[rows, None] * alpha + (le[rows] @ v) / tau2
+        grad_s_dot_w = g @ (w @ alpha) + (le * (w @ v.T)).sum() / tau2
+        grad_s_rows = None if rows == _NO_KNOTS else g[rows, None] * alpha + (le[rows] @ v) / tau2
         return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
 
     def _fic_adjoint(self, rows, w, va, g):
         """As :meth:`_dtc_adjoint` for the FIC log marginal likelihood, whose
-        per-point ``lam`` keeps a K x N term in the adjoint of ``S``.
+        per-point ``lam`` keeps a K x N term in the adjoint of ``S``; the
+        whole adj S is one triangular solve, in place on ``R``.
 
         With ``lam_bar`` the adjoint of the ``lam`` diagonal:
 
@@ -515,15 +551,17 @@ class SparseGPModel:
             - 0.5 * (g[:, None] * g)
         grad_uu = 0.5 * (grad_uu + grad_uu.T)
 
-        # contractions with Suu = L L^T and S = L V
-        grad_s_dot_w = tri_solve(luu, r @ w.T, trans=True).trace()
-        # lam_i = (s2 + jitter) + tau2 - psi_i
+        # contractions with Suu = L L^T and S = L V; lam_i = (s2 + jitter) + tau2 - psi_i
         d_log_s2 = (m.trace() - 0.5 * float(va @ va) + (r * v).sum()
                     + sum_lam_bar * (s2 + jitter))
         d_log_tau2 = sum_lam_bar * tau2
+        if w is None:
+            return (d_log_s2, None, d_log_tau2), grad_uu, tri_solve(luu, r, trans=True,
+                                                                    _overwrite=True)
 
+        grad_s_dot_w = tri_solve(luu, r @ w.T, trans=True).trace()
         # row i of L^{-T} is (L^{-1} e_i)^T
-        grad_s_rows = tri_solve(luu, np.eye(k)[:, rows]).T @ r
+        grad_s_rows = None if rows == _NO_KNOTS else tri_solve(luu, np.eye(k)[:, rows]).T @ r
         return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
 
     # -- prediction ----------------------------------------------------------

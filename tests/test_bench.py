@@ -566,6 +566,6 @@ def test_import_leaves_scipy_optimize_unloaded():
 def test_import_leaves_scipy_python_layers_unloaded(module):
     # scipy.linalg and scipy.special, with the array-API layer they load
     # (which loads numpy.f2py and numpy.testing), cost about 0.36 s and 26 MB
-    # per process; common binds the four compiled routines from their
+    # per process; common binds the five compiled routines from their
     # extension modules instead
     assert not _loaded_by_import(module)

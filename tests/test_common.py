@@ -150,6 +150,7 @@ def _same_bits(a, b) -> bool:
 
 
 _ROUTINES = [("scipy.linalg._fblas", "dtrsm", "scipy.linalg.blas"),
+             ("scipy.linalg._fblas", "dgemm", "scipy.linalg.blas"),
              ("scipy.linalg._flapack", "dpotrf", "scipy.linalg.lapack"),
              ("scipy.linalg._flapack", "dpotri", "scipy.linalg.lapack"),
              ("scipy.special._special_ufuncs", "ndtr", "scipy.special")]
@@ -158,7 +159,7 @@ _NDTR_POINTS = np.concatenate([np.linspace(-40.0, 40.0, 8001),
                                [0.0, -0.0, np.inf, -np.inf, np.nan]])
 
 
-def _check_routines(dtrsm, dpotrf, dpotri, ndtr):
+def _check_routines(dtrsm, dgemm, dpotrf, dpotri, ndtr):
     """Each routine returns the bits of scipy's public one on seeded inputs."""
     rng = np.random.default_rng(11)
     factor = np.linalg.cholesky(_spd(rng, 7))
@@ -169,6 +170,15 @@ def _check_routines(dtrsm, dpotrf, dpotri, ndtr):
                               trans_a=trans_a, overwrite_b=overwrite_b)
                             for f in (dtrsm, scipy.linalg.blas.dtrsm))
             assert _same_bits(ours, theirs)
+    a, b = rng.standard_normal((40, 7)), rng.standard_normal((7, 7))
+    for trans_b in (0, 1):
+        c = rng.standard_normal((40, 7))
+        ours, theirs = (f(0.3, np.asfortranarray(a), np.asfortranarray(b), beta=1.0,
+                          c=np.asfortranarray(c), trans_b=trans_b, overwrite_c=1)
+                        for f in (dgemm, scipy.linalg.blas.dgemm))
+        assert _same_bits(ours, theirs)
+        assert _same_bits(dgemm(1.0, a, b.T, trans_b=trans_b),
+                          scipy.linalg.blas.dgemm(1.0, a, b.T, trans_b=trans_b))
     spd = _spd(rng, 9)
     spd = 0.5 * (spd + spd.T)
     for kwargs in ({"lower": 1, "clean": 1}, {"lower": 0}):
@@ -182,7 +192,7 @@ def _check_routines(dtrsm, dpotrf, dpotri, ndtr):
 
 class TestScipyBinding:
     def test_bound_routines_match_scipy_bit_for_bit(self):
-        _check_routines(common.dtrsm, common.dpotrf, common.dpotri, common.ndtr)
+        _check_routines(common.dtrsm, common.dgemm, common.dpotrf, common.dpotri, common.ndtr)
 
     def _bind_all(self, monkeypatch):
         for extension, _, _ in _ROUTINES:

@@ -387,6 +387,61 @@ class TestDenseOracleGradient:
             for key, tol in tolerances.items():
                 assert errors[key] <= tol, (key, errors)
 
+    def test_all_knots_near_duplicate_against_mp_elbo(self):
+        # a knot 1e-7 lengthscales from another at the default jitter ratio
+        # (cond(Suu) >= 1e6): the whole-adjoint form of the all-knot gradient
+        # against a 50-digit evaluation. This code reaches 2.6e-11 to 1.2e-10.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            x, y, knots, p = random_instance(rng, 12, 4, 2, jitter_ratio=1e-6)
+            direction = rng.standard_normal(2)
+            knots[3] = knots[0] + 1e-7 * p.lengthscale * direction / np.linalg.norm(direction)
+            suu = se_kernel_matrix(knots, knots, p) + p.latent_jitter * np.eye(4)
+            assert np.linalg.cond(suu) >= 1e6
+            errors = self._errors(x, y, knots, p, mp_elbo(x, y, knots, p, with_grad=True), 3)
+            assert errors["all knots"] <= 3e-10, errors
+
+
+def _gradient_case(rng, case):
+    """(x, y, knots, params) for one of the regimes in which the all-knot
+    gradient is checked against the no-knot and one-knot ones."""
+    x, y, knots, p = random_instance(rng, 30, 6, 2, jitter_ratio=1e-6)
+    if case == "near-duplicate knots":
+        knots[5] = knots[0] + 1e-6
+    elif case == "short lengthscale":
+        # knots among the inputs, so that S is not zero to round-off
+        knots = x[:6] + 0.02 * rng.standard_normal((6, 2))
+        p = KernelParams(p.signal_variance, 0.05, p.noise_variance)
+    elif case == "large s2 and lengthscale":
+        p = KernelParams(17.0, 11.0, 0.05)
+    return x, y, knots, p
+
+
+class TestAllKnotGradient:
+    """The all-knot gradient reads the lengthscale term and every knot step
+    off the whole adjoint of ``S``; the no-knot and one-knot gradients take
+    the K x K trace form and single rows. The two must agree to round-off."""
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    @pytest.mark.parametrize("case", ["random", "near-duplicate knots", "short lengthscale",
+                                      "large s2 and lengthscale"])
+    def test_matches_no_knot_and_one_knot_gradients(self, approx, case):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            x, y, knots, p = _gradient_case(rng, case)
+            model = fit_sparse(approx, x, y, p, knots)
+            value, grad = model.objective_grad(all_knots=True)
+            tol = 1e-12 * np.max(np.abs(grad))
+            no_knot_value, no_knot = model.objective_grad()
+            assert value == no_knot_value and no_knot.shape == (3,)
+            np.testing.assert_allclose(grad[:3], no_knot, rtol=0.0, atol=tol)
+            d = knots.shape[1]
+            for i in range(len(knots)):
+                one_knot = model.objective_grad(active_knot_index=i)[1]
+                np.testing.assert_allclose(grad[3 + i * d:3 + (i + 1) * d], one_knot[3:],
+                                           rtol=0.0, atol=tol)
+
 
 class TestFicLogMarginal:
     def test_saturation_matches_full_likelihood(self):
