@@ -42,17 +42,13 @@ marginal likelihood.
 Gradients are assembled by the adjoint method: each objective is
 differentiated with respect to the matrix atoms ``S`` and ``Suu`` and the
 scalars it touches directly, after which a chain rule maps those atom
-gradients onto (log s2, log ell, log tau2) and knot coordinates. With every
-knot free, the whole K x N adjoint of ``S`` is needed for the knot steps, so
-it is formed once, in one array (for DTC, one BLAS ``dgemm`` accumulating
-into ``g alpha^T``), multiplied by ``S`` in place, and the lengthscale
-term ``adj S . (S * D2)`` and every knot step are read off that product.
-With one knot free or none, the DTC parameter derivatives reduce to K x K
-statistics (``V V^T`` through ``B~``, ``W V^T`` with ``W = S * D2``, and
-``V alpha``), and only the free knot's row of adj S is formed, or none. FIC
-keeps its per-point terms. With the jitter tied to the signal variance,
-every entry of ``S`` and ``Suu`` scales linearly in s2, which keeps the
-log-s2 direction exact.
+gradients onto (log s2, log ell, log tau2) and knot coordinates. Whichever
+knots are free, the whole K x N adjoint of ``S`` is formed once, in one
+array (for DTC, one BLAS ``dgemm`` accumulating into ``g alpha^T``), and
+multiplied by ``S`` in place; the lengthscale term ``adj S . (S * D2)`` and
+the free knots' steps are read off that product. With the jitter tied to
+the signal variance, every entry of ``S`` and ``Suu`` scales linearly in s2,
+which keeps the log-s2 direction exact.
 
 The gradient ascent's search vector, its evaluation and the knots' distance
 buffers it updates in place all live in :meth:`SparseGPModel._ascent`. The
@@ -376,28 +372,23 @@ class SparseGPModel:
         knot follow; with ``all_knots=True`` the derivatives of every knot
         coordinate follow in row-major knot order.
 
-        With every knot free, the adjoint returns the whole K x N adjoint of
-        ``S`` in one array, which is multiplied by ``S`` in place; the
-        lengthscale term and every knot step are read off that product.
-        Otherwise the lengthscale term is the adjoint's K x K trace form and
-        only the free knot's row of adj S is formed, or none.
+        The adjoint returns the whole K x N adjoint of ``S`` in one array,
+        which is multiplied by ``S`` in place; the lengthscale term and the
+        free knots' steps are read off that product.
         """
         rows = self._free_rows(active_knot_index, all_knots)
         adjoint = self._dtc_adjoint if self.approx is Approximation.DTC else self._fic_adjoint
         ell2 = self.params.lengthscale ** 2
         va = self._v @ self._alpha
-        # d S / d log ell = W / ell2 with W = S * D2, and likewise for Suu
-        w = None if all_knots else self._s * self._d2_ux
-        (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s = adjoint(
-            rows, w, va, tri_solve(self._luu, va, trans=True))
-        if all_knots:
-            grad_s *= self._s
-            grad_s_dot_w = np.vdot(grad_s, self._d2_ux)       # adj S . W
-        d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum() + grad_s_dot_w) / ell2
-        if grad_s is None:
+        d_log_s2, d_log_tau2, grad_uu, gs = adjoint(va, tri_solve(self._luu, va, trans=True))
+        gs *= self._s
+        # d S / d log ell = S * D2 / ell2, and likewise for Suu
+        d_log_ell = ((grad_uu * (self._kuu * self._d2_uu)).sum()
+                     + np.vdot(gs, self._d2_ux)) / ell2
+        if rows == _NO_KNOTS:
             return self.objective(), np.array([d_log_s2, d_log_ell, d_log_tau2])
         # d S_kn / d u_k = S_kn (x_n - u_k) / ell2, and likewise for Suu
-        gs = grad_s if all_knots else grad_s * self._s[rows]
+        gs = gs[rows]
         u = self.knots.locations
         gk = grad_uu[rows] * self._kuu[rows]
         step = (gs @ self.x - gs.sum(axis=1)[:, None] * u[rows]
@@ -475,27 +466,19 @@ class SparseGPModel:
         factor.flags.writeable = False
         return factor
 
-    def _dtc_adjoint(self, rows, w, va, g):
-        """Log-s2 and log-tau2 derivatives of the variational objective, the
-        symmetric adjoint of ``Suu`` and the adjoint of ``S``, given
-        ``va = V alpha`` and ``g = Suu^{-1} S alpha = L^{-T} va``. The
-        adjoint of ``S`` comes in the form the free ``rows`` need:
-
-        - with ``w`` None (every knot free), the whole K x N adj S in one new
-          array, and None in place of its contraction;
-        - otherwise the contraction of adj S with ``w``, between the two
-          derivatives, and the requested rows of adj S, or None when
-          ``rows`` is empty.
-
-        With ``E = I - B~^{-1}``:
+    def _dtc_adjoint(self, va, g):
+        """(d/dlog s2, d/dlog tau2, adj Suu, adj S) of the variational
+        objective, given ``va = V alpha`` and ``g = Suu^{-1} S alpha =
+        L^{-T} va``: the two derivatives, the symmetric adjoint of ``Suu`` and
+        the whole K x N adjoint of ``S`` in one new array. With
+        ``E = I - B~^{-1}``:
 
             adj S   = g alpha^T + L^{-T} E V / tau2
             adj Suu = -(1/2) L^{-T} (B~ - 2I + B~^{-1}) L^{-1} - (1/2) g g^T
 
-        whose contractions with ``S`` and ``Suu`` collapse to traces of K x K
-        matrices: ``tr(E)``, ``||V alpha||^2`` and, for the lengthscale,
-        ``W V^T`` with ``W = S * D2``. The whole adj S is one BLAS ``dgemm``
-        that accumulates into ``g alpha^T``.
+        whose contractions with ``S`` and ``Suu`` collapse to ``tr(E)`` and
+        ``||V alpha||^2``. adj S is one BLAS ``dgemm`` that accumulates into
+        ``g alpha^T``.
         """
         tau2 = self.params.noise_variance
         v, luu, alpha = self._v, self._luu, self._alpha
@@ -511,21 +494,16 @@ class SparseGPModel:
         penalty = self.trace_penalty()
         d_log_s2 = 0.5 * float(va @ va) - 0.5 * tr_e - penalty
         d_log_tau2 = -0.5 * (self.n_train - tr_e) + 0.5 * tau2 * float(alpha @ alpha) + penalty
-        if w is None:
-            # a C-ordered K x N array is a Fortran-ordered N x K one to BLAS,
-            # so V^T (L^{-T} E)^T / tau2 accumulates in place into (g alpha^T)^T
-            adj_s = dgemm(1.0 / tau2, v.T, le.T, beta=1.0, c=np.outer(g, alpha).T,
-                          overwrite_c=1).T
-            return (d_log_s2, None, d_log_tau2), grad_uu, adj_s
+        # a C-ordered K x N array is a Fortran-ordered N x K one to BLAS,
+        # so V^T (L^{-T} E)^T / tau2 accumulates in place into (g alpha^T)^T
+        adj_s = dgemm(1.0 / tau2, v.T, le.T, beta=1.0, c=np.outer(g, alpha).T,
+                      overwrite_c=1).T
+        return d_log_s2, d_log_tau2, grad_uu, adj_s
 
-        grad_s_dot_w = g @ (w @ alpha) + (le * (w @ v.T)).sum() / tau2
-        grad_s_rows = None if rows == _NO_KNOTS else g[rows, None] * alpha + (le[rows] @ v) / tau2
-        return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
-
-    def _fic_adjoint(self, rows, w, va, g):
+    def _fic_adjoint(self, va, g):
         """As :meth:`_dtc_adjoint` for the FIC log marginal likelihood, whose
-        per-point ``lam`` keeps a K x N term in the adjoint of ``S``; the
-        whole adj S is one triangular solve, in place on ``R``.
+        per-point ``lam`` keeps a K x N term in the adjoint of ``S``; adj S is
+        one triangular solve, in place on ``R``.
 
         With ``lam_bar`` the adjoint of the ``lam`` diagonal:
 
@@ -555,14 +533,7 @@ class SparseGPModel:
         d_log_s2 = (m.trace() - 0.5 * float(va @ va) + (r * v).sum()
                     + sum_lam_bar * (s2 + jitter))
         d_log_tau2 = sum_lam_bar * tau2
-        if w is None:
-            return (d_log_s2, None, d_log_tau2), grad_uu, tri_solve(luu, r, trans=True,
-                                                                    _overwrite=True)
-
-        grad_s_dot_w = tri_solve(luu, r @ w.T, trans=True).trace()
-        # row i of L^{-T} is (L^{-1} e_i)^T
-        grad_s_rows = None if rows == _NO_KNOTS else tri_solve(luu, np.eye(k)[:, rows]).T @ r
-        return (d_log_s2, grad_s_dot_w, d_log_tau2), grad_uu, grad_s_rows
+        return d_log_s2, d_log_tau2, grad_uu, tri_solve(luu, r, trans=True, _overwrite=True)
 
     # -- prediction ----------------------------------------------------------
 
