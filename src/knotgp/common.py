@@ -219,9 +219,14 @@ def _clamped_prediction(mean: np.ndarray, latent_variance: np.ndarray,
                         noise_variance: float, diagnostics: dict) -> PredictiveDistribution:
     """Predictive moments with negative round-off latent variances clamped at
     zero; the number clamped is added to
-    ``diagnostics['negative_variance_clamps']``."""
-    clamps = int(np.sum(latent_variance < 0.0))
+    ``diagnostics['negative_variance_clamps']``. A NaN variance, such as
+    ``inf - inf`` from a finite but extreme test row, fails the same test
+    and raises :class:`NumericalError`."""
+    clamps = int(np.sum(~(latent_variance >= 0.0)))
     if clamps:
+        if np.isnan(latent_variance).any():
+            raise NumericalError("predictive variance is NaN: a test input overflows "
+                                 "the kernel's float arithmetic")
         diagnostics["negative_variance_clamps"] = (
             diagnostics.get("negative_variance_clamps", 0) + clamps
         )

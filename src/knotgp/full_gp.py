@@ -154,7 +154,8 @@ def predict_full(model: FullGPModel, test_inputs) -> PredictiveDistribution:
     """Marginal latent mean/variance per test point, plus the noisy variant.
 
     Negative round-off variances are clamped at zero; the number of clamps is
-    recorded in ``model.diagnostics['negative_variance_clamps']``. The test
+    recorded in ``model.diagnostics['negative_variance_clamps']``. A NaN
+    variance raises :class:`NumericalError`. The test
     rows are validated once, and the cross-kernel is formed and solved in
     one N x m buffer.
     """

@@ -9,10 +9,18 @@ Positive hyperparameters live on the log scale during optimization, so the
 derivative helpers here are taken with respect to (log s2, log ell) and, for
 knot movement, the coordinates of the second argument.
 
-Squared distances are computed through the expansion
-``||a||^2 - 2 a.b + ||b||^2`` and clamped at zero to guard against
-cancellation. Every kernel matrix in the package, sparse or exact, is formed
-from such squared distances by :func:`_kernel`.
+Kernel matrices are formed on one of two paths, both here:
+
+- From squared distances, by :func:`_kernel`. The distances are computed
+  through the expansion ``||a||^2 - 2 a.b + ||b||^2`` and clamped at zero to
+  guard against cancellation. Every fit takes this path (the sparse build,
+  the candidate gains, the exact GP and its prediction): the lengthscale
+  derivative reads the distances, and the sparse ascent updates the rows of
+  its distance buffers that belong to the knots it moves.
+- From the exponent, by :func:`_unit_kernel`, which sparse prediction takes.
+  With the rows of :func:`_exponent_rows`, one product of a knot block and a
+  test block gives ``-||u - t||^2 / (2 ell^2)`` directly, clamped at zero by
+  the same guard; no distance matrix is formed.
 """
 
 from __future__ import annotations
@@ -117,6 +125,30 @@ def _kernel(d2: np.ndarray, params: KernelParams, out: np.ndarray | None = None)
     np.exp(kmat, out=kmat)
     kmat *= params.signal_variance
     return kmat
+
+
+def _exponent_rows(a: np.ndarray, lengthscale: float, test: bool = False) -> np.ndarray:
+    """The (n, d + 2) rows ``[a / ell, -|a / ell|^2 / 2, 1]`` of a finite
+    float (n, d) array, or ``[a / ell, 1, -|a / ell|^2 / 2]`` with ``test``,
+    so that a knot block times a test block transposed is the exponent
+    ``-|u - t|^2 / (2 ell^2)`` of :func:`_unit_kernel`. Makes no checks."""
+    n, d = a.shape
+    rows = np.empty((n, d + 2))
+    scaled = np.divide(a, lengthscale, out=rows[:, :d])
+    rows[:, d + test] = -0.5 * np.einsum("nd,nd->n", scaled, scaled)
+    rows[:, d + 1 - test] = 1.0
+    return rows
+
+
+def _unit_kernel(knot_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
+    """``exp(-|u - t|^2 / (2 ell^2))``, the kernel over ``s2``, between the
+    rows of :func:`_exponent_rows` of the knots and of the test inputs, in one
+    new (K, m) array: one product gives the exponent, which is clamped at zero
+    against cancellation, as the squared distances are, and exponentiated in
+    place."""
+    kmat = knot_rows @ test_rows.T
+    np.minimum(kmat, 0.0, out=kmat)
+    return np.exp(kmat, out=kmat)
 
 
 def _point_pair(a, b, b_name: str):

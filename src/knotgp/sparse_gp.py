@@ -64,14 +64,20 @@ from the build, and latent variance
 (Quinonero-Candela & Rasmussen 2005). Both are fixed K x K forms in ``k``,
 so all K x K work is done once per model, into a (K + 1) x K factor
 ``F = [a^T; P]`` with ``a = L^{-T} c`` and ``P^T P = L^{-T} (I - B~^{-1})
-L^{-1}``; a batch of test points then takes one product ``F k`` and no
-triangular solve. ``P`` comes from the eigendecomposition of ``B~^{-1}``,
-whose eigenvalues lie in (0, 1], so the variance is a sum of squares with
-no cancellation against a large ``L^{-T} (I - B~^{-1}) L^{-1}``.
+L^{-1}``. ``P`` comes from the eigendecomposition of ``B~^{-1}``, whose
+eigenvalues lie in (0, 1], so the variance is a sum of squares with no
+cancellation against a large ``L^{-T} (I - B~^{-1}) L^{-1}``. ``k`` itself
+needs no distance matrix: with the knots' rows ``[u / ell, -|u / ell|^2 / 2,
+1]`` and the test points' ``[t / ell, 1, -|t / ell|^2 / 2]``, one product
+gives the exponent ``-|u - t|^2 / (2 ell^2)``. A batch of test points thus
+takes two products, exponentiating in between, and no triangular solve.
+The fit keeps its squared distances, which the lengthscale gradient reads
+and the ascent updates by rows.
 
-``B~^{-1}`` and ``F`` are cached lazily and read-only, once per model: the
-gradient or the first prediction forms ``B~^{-1}``, only prediction forms
-``F``, and an evaluation of the objective alone forms neither.
+``B~^{-1}`` and the prediction operands (the knots' rows and ``s2 F``) are
+cached lazily and read-only, once per model: the gradient or the first
+prediction forms ``B~^{-1}``, only prediction forms the operands, and an
+evaluation of the objective alone forms neither.
 
 Appending one knot ``u`` with the parameters fixed borders ``L`` with
 ``l = L^{-1} k_u`` and the pivot ``delta = sqrt(delta2)``,
@@ -101,8 +107,8 @@ from dataclasses import dataclass
 import numpy as np
 from .common import (LOG_2PI, PredictiveDistribution, _clamped_prediction, _test_inputs,
                      _training_data, as_input_matrix, chol_lower, dgemm, tri_solve)
-from .kernels import (KernelParams, _kernel, _row_norms, _squared_distances, cov_matrix,
-                      squared_distances)
+from .kernels import (KernelParams, _exponent_rows, _kernel, _row_norms, _squared_distances,
+                      _unit_kernel, cov_matrix, squared_distances)
 
 # two points closer than this in every coordinate coincide: a knot set that
 # holds such a pair has duplicates, and the Bayesian-optimization proposal
@@ -448,11 +454,14 @@ class SparseGPModel:
         return binv
 
     @functools.cached_property
-    def _predictor(self) -> np.ndarray:
-        """The (K + 1, K) prediction factor ``F``, read-only, formed on the
-        first :meth:`predict`, never by :meth:`_build` or the gradient.
+    def _predictor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The knot block and the prediction factor, both read-only, formed on
+        the first :meth:`predict`, never by :meth:`_build` or the gradient.
 
-        Row 0 is ``a = L^{-T} c``. Rows 1..K are
+        The knot block is the (K, d + 2) :func:`kernels._exponent_rows` of
+        the knots. The factor is ``s2 F``, (K + 1, K), which takes the unit
+        kernel of :func:`kernels._unit_kernel` to ``F k``. Row 0 of ``F`` is
+        ``a = L^{-T} c``. Rows 1..K are
         ``P = diag(sqrt(max(1 - mu, 0))) W^T L^{-1}`` with
         ``B~^{-1} = W diag(mu) W^T``, so ``P^T P = L^{-T} (I - B~^{-1}) L^{-1}``.
         The eigenvalues ``mu`` lie in (0, 1], so the clip only removes
@@ -463,8 +472,11 @@ class SparseGPModel:
         mu, w = np.linalg.eigh(self._b_inverse)
         rhs = np.column_stack([self._c, w * np.sqrt(np.maximum(1.0 - mu, 0.0))])
         factor = tri_solve(self._luu, rhs, trans=True).T
-        factor.flags.writeable = False
-        return factor
+        factor *= self.params.signal_variance
+        knot_rows = _exponent_rows(self.knots.locations, self.params.lengthscale)
+        for operand in (knot_rows, factor):
+            operand.flags.writeable = False
+        return knot_rows, factor
 
     def _dtc_adjoint(self, va, g):
         """(d/dlog s2, d/dlog tau2, adj Suu, adj S) of the variational
@@ -549,15 +561,19 @@ class SparseGPModel:
             var_j  = (s2 + jitter) - v_j^T (I - B~^{-1}) v_j
 
         FIC marginals coincide with FITC's. Each call validates the test rows
-        once and makes no triangular solve: the distances and the kernel
-        share one K x m buffer, and one product ``z = F k`` with the cached
-        factor :attr:`_predictor` gives ``mean_j = m + z_0j`` and
-        ``var_j = (s2 + jitter) - sum_i z_ij^2`` over rows i = 1..K.
+        once, forms no distance matrix and makes no triangular solve. With
+        the operands cached in :attr:`_predictor`, one product of the knot
+        block and the test rows' (m, d + 2) block gives the kernel's
+        exponent, exponentiated in place in one K x m buffer, and one more
+        with the factor gives ``z = F k``: ``mean_j = m + z_0j`` and
+        ``var_j = (s2 + jitter) - sum_i z_ij^2`` over rows i = 1..K. A test
+        row extreme enough to make its variance NaN raises
+        :class:`NumericalError`.
         """
         xt = _test_inputs(test_inputs, self.x)
         params = self.params
-        d2 = _squared_distances(self.knots.locations, xt, np.einsum("jd,jd->j", xt, xt))
-        z = self._predictor @ _kernel(d2, params, out=d2)
+        knot_rows, factor = self._predictor
+        z = factor @ _unit_kernel(knot_rows, _exponent_rows(xt, params.lengthscale, test=True))
         mean = self.mean_constant + z[0]
         quad = z[1:]
         var = params.signal_variance + params.latent_jitter - np.einsum("kj,kj->j", quad, quad)

@@ -129,6 +129,28 @@ class TestNegativeVarianceClamp:
 
 
 @pytest.mark.parametrize("predictor", ["sparse", "full"])
+def test_nan_variance_raises(predictor):
+    # finite rows whose kernel exponent meets inf - inf
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((30, 2)), rng.standard_normal(30)
+    params = KernelParams(1.0, 1.0, 0.1)
+    if predictor == "sparse":
+        model = fit_sparse(Approximation.DTC, x, y, params, x[:5] * 3)
+        predict = model.predict
+    else:
+        model = fit_full(x, y, params)
+        predict = partial(predict_full, model)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="NaN"):
+            predict([[0.5, 0.5], [1e308, 1e308]])
+        # a row whose exponent is only -inf gives the prior
+        far = predict([[0.5, 0.5], [1e200, -1e200]])
+    assert "negative_variance_clamps" not in model.diagnostics
+    assert far.latent_mean[1] == 0.0
+    assert far.latent_variance[1] == params.signal_variance + params.latent_jitter
+
+
+@pytest.mark.parametrize("predictor", ["sparse", "full"])
 def test_predictors_share_the_test_width_check(predictor):
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal((10, 2)), rng.standard_normal(10)

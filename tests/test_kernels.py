@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from knotgp import KernelParams, cov_matrix, kernel_eval, kernel_grad_knot, kernel_grad_params
+from knotgp.kernels import _exponent_rows, _unit_kernel
 
 from oracles import central_difference
 
@@ -100,9 +101,14 @@ class TestCovMatrix:
         a = rng.standard_normal((5, 2))
         b = rng.standard_normal((4, 2))
         mat = cov_matrix(a, b, p)
+        # the exponent path of sparse prediction
+        unit = _unit_kernel(_exponent_rows(a, p.lengthscale),
+                            _exponent_rows(b, p.lengthscale, test=True))
         for i in range(5):
             for j in range(4):
-                assert mat[i, j] == pytest.approx(kernel_eval(a[i], b[j], p), rel=1e-12)
+                expected = kernel_eval(a[i], b[j], p)
+                assert mat[i, j] == pytest.approx(expected, rel=1e-12)
+                assert p.signal_variance * unit[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_psd_with_jitter(self):
         rng = np.random.default_rng(3)

@@ -10,6 +10,7 @@ from knotgp import (Approximation, KernelParams, KnotSet, SparseGPModel, elbo,
                     prior_variance_report, psi_cross, psi_diag)
 from knotgp.adadelta import OptimizerConfig
 from knotgp.common import NumericalError
+from knotgp.kernels import _exponent_rows, _unit_kernel
 from knotgp.selection import kmeans_init, simultaneous_optimize
 
 from oracles import (central_difference, dense_elbo, dense_fic_log_marginal,
@@ -600,6 +601,49 @@ class TestPredictSparse:
         assert np.max(np.abs(pred.latent_variance - var)) <= tol
 
     @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    def test_rows_on_knots_and_data_at_short_lengthscale(self, approx):
+        # the exponent's cancellation error grows as eps |t / ell|^2, as the
+        # squared distances' does: coordinates a few lengthscales across keep
+        # it under the tolerance (FOUND in CHANGES.md for wider ones)
+        rng = np.random.default_rng(53)
+        x, y, knots, p = random_instance(rng, 10, 4, 3, spread=0.05)
+        p = KernelParams(p.signal_variance, 1e-2, p.noise_variance,
+                         latent_jitter=p.latent_jitter)
+        knots = np.vstack([knots, x[:2]])
+        model = fit_sparse(approx, x, y, p, knots)
+        assert not model.diagnostics
+        xt = np.vstack([knots, x])
+        knot_rows, _ = model._predictor
+        test_rows = _exponent_rows(xt, p.lengthscale, test=True)
+        assert (knot_rows @ test_rows.T).max() > 0.0     # round-off the clamp removes
+        kmat = p.signal_variance * _unit_kernel(knot_rows, test_rows)
+        assert kmat.max() == p.signal_variance
+        assert kmat.min() < 1e-3 * p.signal_variance     # the knots are apart
+        pred = model.predict(xt)
+        mean, var = mp_predict(approx.value, x, y, knots, xt, p)
+        tol = 1e-12 * (p.signal_variance + p.latent_jitter)
+        assert np.max(np.abs(pred.latent_mean - mean)) <= tol
+        assert np.max(np.abs(pred.latent_variance - var)) <= tol
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    def test_kernel_underflows_far_away(self, approx):
+        rng = np.random.default_rng(54)
+        x, y, knots, p = random_instance(rng, 10, 4, 2)
+        model = fit_sparse(approx, x, y, p, knots, mean_constant=0.3)
+        direction = rng.standard_normal((3, 2))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        xt = knots[:3] + 1e3 * p.lengthscale * direction
+        xt[0] = -1e3 * p.lengthscale                     # far from every knot
+        pred = model.predict(xt)
+        np.testing.assert_array_equal(pred.latent_mean, 0.3)
+        np.testing.assert_array_equal(pred.latent_variance,
+                                      p.signal_variance + p.latent_jitter)
+        mean, var = mp_predict(approx.value, x, y, knots, xt, p, mean_constant=0.3)
+        tol = 1e-12 * (p.signal_variance + p.latent_jitter)
+        assert np.max(np.abs(pred.latent_mean - mean)) <= tol
+        assert np.max(np.abs(pred.latent_variance - var)) <= tol
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
     def test_chunks_concatenate_bitwise(self, approx):
         # split at a multiple of the 1,024-row chunks the benchmark serves in;
         # a split at an odd row can move the last bit through the remainder
@@ -617,8 +661,9 @@ class TestPredictSparse:
 
 class TestBInverseCache:
     """``B~^{-1}`` is formed lazily, once per model, and shared read-only by
-    the gradient and prediction; the prediction factor ``F`` is formed
-    lazily, once per model, by prediction alone."""
+    the gradient and prediction; the prediction operands, the knot block and
+    the factor ``s2 F``, are formed lazily, once per model, by prediction
+    alone."""
 
     @staticmethod
     def _counted(monkeypatch, name="_b_inverse"):
@@ -696,12 +741,24 @@ class TestBInverseCache:
     def test_prediction_factor_read_only(self):
         x, y, knots, p = random_instance(np.random.default_rng(52), 12, 4, 2)
         model = SparseGPModel(Approximation.DTC, x, y, p, knots)
-        factor = model._predictor
-        assert factor is model._predictor
-        assert factor.shape == (5, 4)
-        assert not factor.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            factor[0, 0] = 0.0
+        operands = model._predictor
+        assert operands is model._predictor
+        knot_rows, factor = operands
+        assert knot_rows.shape == (4, 4) and factor.shape == (5, 4)
+        for operand in operands:
+            assert not operand.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                operand[0, 0] = 0.0
+
+    def test_knot_block_holds_the_scaled_knots(self):
+        x, y, knots, p = random_instance(np.random.default_rng(55), 12, 4, 2)
+        model = SparseGPModel(Approximation.FIC, x, y, p, knots)
+        knot_rows, _ = model._predictor
+        scaled = knots / p.lengthscale
+        np.testing.assert_array_equal(knot_rows[:, :2], scaled)
+        np.testing.assert_allclose(knot_rows[:, 2], -0.5 * (scaled ** 2).sum(axis=1),
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(knot_rows[:, 3], 1.0)
 
 
 class TestPriorVarianceReport:
