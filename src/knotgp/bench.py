@@ -211,18 +211,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be at least 1, got {self.n_runs}")
-        earlier: dict[str, RosterEntry] = {}
-        for entry in self.model_roster:
-            if entry.model_id in earlier:
+        for index, entry in enumerate(self.model_roster):
+            if any(e.model_id == entry.model_id for e in self.model_roster[:index]):
                 raise ValueError("model roster ids must be unique")
-            if entry.knot_init.startswith("from-model:"):
-                ref = entry.knot_init.split(":", 1)[1]
-                if ref not in earlier or earlier[ref].approximation == "FullGP":
-                    raise ValueError(
-                        f"model {entry.model_id!r} references {ref!r}, which is not "
-                        "an earlier sparse roster entry"
-                    )
-            earlier[entry.model_id] = entry
+            if entry.knot_selection == "Simult":
+                _simult_source(entry, self.model_roster[:index])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -242,6 +235,24 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
+
+
+def _simult_source(entry: RosterEntry, earlier) -> str:
+    """The id of the ``earlier`` entry a Simult ``entry`` starts from: its
+    sparse ``from-model:`` reference, or, to set its k-means knot count, the
+    last OAT-BO entry, preferring one with the same approximation."""
+    if entry.knot_init != "kmeans":
+        ref = entry.knot_init.split(":", 1)[1]
+        if not any(e.model_id == ref and e.approximation != "FullGP" for e in earlier):
+            raise ValueError(f"model {entry.model_id!r} references {ref!r}, which is not "
+                             "an earlier sparse roster entry")
+        return ref
+    oat_bo = [e for e in earlier if e.knot_selection == "OAT-BO"]
+    if not oat_bo:
+        raise ValueError(f"model {entry.model_id!r} needs an earlier OAT-BO "
+                         "entry to set its knot count")
+    same = [e for e in oat_bo if e.approximation == entry.approximation]
+    return (same or oat_bo)[-1].model_id
 
 
 def experiment_runs(config: ExperimentConfig, table: Table):
@@ -295,18 +306,7 @@ def _fit_entry(run_index: int, entry: RosterEntry, config: ExperimentConfig,
         oat = replace(config.oat, proposal=proposal, objective=objective, rng_seed=seed)
         model, selection = oat_select(x, y, config.init_params, oat, config.optimizer)
     else:
-        if entry.knot_init == "kmeans":
-            # the knot count follows the last earlier OAT-BO entry, preferring
-            # one with the same approximation
-            earlier = config.model_roster[:config.model_roster.index(entry)]
-            oat_bo = [e for e in earlier if e.knot_selection == "OAT-BO"]
-            same = [e for e in oat_bo if e.approximation == entry.approximation]
-            if not oat_bo:
-                raise ValueError(f"model {entry.model_id!r} needs an earlier OAT-BO "
-                                 "entry to set its knot count")
-            source_id = (same or oat_bo)[-1].model_id
-        else:
-            source_id = entry.knot_init.split(":", 1)[1]
+        source_id = _simult_source(entry, config.model_roster[:config.model_roster.index(entry)])
         if source_id not in fitted:
             raise ValueError(f"model {entry.model_id!r} starts from model {source_id!r}, "
                              "which failed in this run")

@@ -15,8 +15,8 @@ Kernel matrices are formed on one of two paths, both here:
   through the expansion ``||a||^2 - 2 a.b + ||b||^2`` and clamped at zero to
   guard against cancellation. Every fit takes this path (the sparse build,
   the candidate gains, the exact GP and its prediction): the lengthscale
-  derivative reads the distances, and the sparse ascent updates the rows of
-  its distance buffers that belong to the knots it moves.
+  derivative reads the distances, and the sparse ascent updates its
+  distance buffers in place as it moves knots.
 - From the exponent, by :func:`_unit_kernel`, which sparse prediction takes.
   With the rows of :func:`_exponent_rows`, one product of a knot block and a
   test block gives ``-||u - t||^2 / (2 ell^2)`` directly, clamped at zero by

@@ -85,9 +85,6 @@ class SelectionStep:
     n_steps: int                   # the inner optimization's steps and why it stopped
     stop_reason: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SelectionTrace:
@@ -249,8 +246,10 @@ def _optimize_params_and_knot(start: SparseGPModel, optimizer_config: OptimizerC
                               active_knot_index: int | None = None, all_knots: bool = False):
     """Ascent from ``start`` over the parameters and the knots that
     ``objective_grad``'s keywords free, checked first; returns (model,
-    MaximizeResult), the model rebuilt at the best-seen point, so never worse
-    than at the start. The search does not keep ``start`` alive."""
+    MaximizeResult), the model at the best-seen point, so never worse than at
+    the start. The model is built as the search's evaluations are, so its
+    objective is ``res.fun`` to the bit, and a ridge that fired at the best
+    point fires in it too. The search does not keep ``start`` alive."""
     objective_with_grad, init, model_at = start._ascent(active_knot_index, all_knots)
     del start
     res = maximize(objective_with_grad, init, optimizer_config)
@@ -334,7 +333,7 @@ def simultaneous_optimize(x, y, init_params: KernelParams, init_knots,
                           optimizer_config: OptimizerConfig | None = None):
     """Joint ascent over the covariance parameters and all knot coordinates.
 
-    Returns (model, MaximizeResult); the model is rebuilt at the best-seen
+    Returns (model, MaximizeResult); the model is the one at the best-seen
     point, so refinement never reports worse than its starting objective.
     """
     return _optimize_params_and_knot(

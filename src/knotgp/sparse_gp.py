@@ -50,9 +50,10 @@ the free knots' steps are read off that product. With the jitter tied to
 the signal variance, every entry of ``S`` and ``Suu`` scales linearly in s2,
 which keeps the log-s2 direction exact.
 
-The gradient ascent's search vector, its evaluation and the knots' distance
-buffers it updates in place all live in :meth:`SparseGPModel._ascent`. The
-ascent and the gradient name the free knots alike, by one row slice from
+The gradient ascent's search vector, the knots' distance buffers it updates
+in place and the one build, from them, of each evaluation's model and of the
+model it returns all live in :meth:`SparseGPModel._ascent`. The ascent and
+the gradient name the free knots alike, by one row slice from
 :meth:`SparseGPModel._free_rows`: every knot, one knot, or none (empty).
 
 Prediction at a test point with cross covariance ``k = cov(U, t)`` and
@@ -72,7 +73,7 @@ needs no distance matrix: with the knots' rows ``[u / ell, -|u / ell|^2 / 2,
 gives the exponent ``-|u - t|^2 / (2 ell^2)``. A batch of test points thus
 takes two products, exponentiating in between, and no triangular solve.
 The fit keeps its squared distances, which the lengthscale gradient reads
-and the ascent updates by rows.
+and the ascent updates in place.
 
 ``B~^{-1}`` and the prediction operands (the knots' rows and ``s2 F``) are
 cached lazily and read-only, once per model: the gradient or the first
@@ -406,10 +407,11 @@ class SparseGPModel:
         """(objective_with_grad, init, model_at) for an ascent from this model
         over (log s2, log ell, log tau2) and, in row-major order, the
         coordinates of the knots that :meth:`objective_grad`'s arguments free.
-        Each evaluation checks only the free coordinates and recomputes only
-        their rows and columns of buffered knot distances, in place; with no
-        knot free it does neither. ``model_at`` builds through the public
-        constructor. The closures do not hold this model.
+        Each evaluation and ``model_at`` build alike: they check only the free
+        coordinates and recompute, in place, the whole K x K knot distances
+        and the free rows of the knot-to-input distances (with no knot free,
+        neither), so ``model_at``'s model, which owns copies of the buffers,
+        scores its point to the bit. The closures do not hold this model.
         """
         approx, x, y, params, mean = self.approx, self.x, self.y, self.params, self.mean_constant
         rows = self._free_rows(active_knot_index, all_knots)
@@ -419,29 +421,25 @@ class SparseGPModel:
         x_sq = _row_norms(x)
         d2_uu, d2_ux = self._d2_uu.copy(), self._d2_ux.copy()
 
-        def objective_with_grad(vec):
+        def build(vec, own=False):
             p = params.with_log_vector(vec[:3])
             if free:
                 if not np.isfinite(vec[3:]).all():
                     raise ValueError("knot locations contains non-finite entries")
                 kn[rows] = vec[3:].reshape(-1, d)
-                block = _squared_distances(kn[rows], kn, _row_norms(kn))
-                # column first: with every knot free, ``block`` need not be
-                # exactly symmetric, and its rows are what a fresh build computes
-                d2_uu[:, rows] = block.T
-                d2_uu[rows] = block
+                _squared_distances(kn, kn, _row_norms(kn), out=d2_uu)
                 _squared_distances(kn[rows], x, x_sq, out=d2_ux[rows])
+            # a model that outlives the search owns copies of the buffers
+            u, uu, ux = (a.copy() for a in (kn, d2_uu, d2_ux)) if own else (kn, d2_uu, d2_ux)
             model = object.__new__(SparseGPModel)    # no checks or distance work
-            model._init(approx, x, y, p, KnotSet._unchecked(kn), mean, d2_uu, d2_ux)
-            return model.objective_grad(active_knot_index, all_knots)
+            model._init(approx, x, y, p, KnotSet._unchecked(u), mean, uu, ux)
+            return model
 
-        def model_at(vec):
-            knots = kn.copy()                        # only its free rows ever change
-            knots[rows] = vec[3:].reshape(-1, d)
-            return SparseGPModel(approx, x, y, params.with_log_vector(vec[:3]), knots, mean)
+        def objective_with_grad(vec):
+            return build(vec).objective_grad(active_knot_index, all_knots)
 
         init = np.concatenate([params.log_vector(), kn[rows].reshape(-1)])
-        return objective_with_grad, init, model_at
+        return objective_with_grad, init, functools.partial(build, own=True)
 
     @functools.cached_property
     def _b_inverse(self) -> np.ndarray:

@@ -277,6 +277,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="knot_init"):
             RosterEntry("m", selection, approximation, "from-model:OBVk")
 
+    @pytest.mark.parametrize("earlier", [[], [RosterEntry("ORVk", "OAT-RS", "VFE")],
+                                         [RosterEntry("FGP", "none", "FullGP")]],
+                             ids=["alone", "after OAT-RS", "after FullGP"])
+    def test_kmeans_simult_without_oat_bo_rejected(self, earlier):
+        with pytest.raises(ValueError, match=r"^model 'S' needs an earlier OAT-BO entry "
+                                             r"to set its knot count$"):
+            ExperimentConfig("d.csv", ["a"], "y",
+                             model_roster=[*earlier, RosterEntry("S", "Simult", "VFE")])
+
     def test_start_from_full_gp_rejected(self):
         with pytest.raises(ValueError, match="earlier sparse roster entry"):
             ExperimentConfig("d.csv", ["a"], "y", model_roster=[
@@ -382,17 +391,20 @@ class TestRunExperiment:
                                 / f"run{run}_FGP.json").read_text())
             assert (saved["n_steps"], saved["stop_reason"]) == (trace["n_steps"], "converged")
 
-    def test_failure_row_recorded_and_flagged(self, tmp_path):
+    def test_failure_row_recorded_and_flagged(self, tmp_path, monkeypatch):
+        def failing_oat_select(*args, **kwargs):
+            raise RuntimeError("selection failed")
+
+        monkeypatch.setattr(bench, "oat_select", failing_oat_select)
         csv_path = _synthetic_csv(tmp_path / "data.csv")
-        roster = [RosterEntry("SVk", "Simult", "VFE")]  # no OAT-BO source
-        config = _tiny_config(tmp_path, csv_path, roster)
+        config = _tiny_config(tmp_path, csv_path, [RosterEntry("OBVk", "OAT-BO", "VFE")])
         results, ok = run_experiment(config)
         assert not ok
         assert len(results) == 1
         assert results[0].failed
-        assert "OAT-BO" in results[0].error
+        assert results[0].error == "selection failed"
         lines = (Path(config.output_dir) / "results.csv").read_text().splitlines()
-        assert lines[1].startswith("0,SVk,,,")
+        assert lines[1].startswith("0,OBVk,,,")
 
     def test_simult_names_a_source_that_failed_in_the_run(self, tmp_path, monkeypatch):
         def failing_oat_select(*args, **kwargs):
@@ -444,12 +456,22 @@ def test_kmeans_knot_count_source_matches_two_flag_loop(monkeypatch):
                   for i, j in enumerate(rng.integers(len(kinds), size=rng.integers(1, 8)))]
         roster.append(RosterEntry("target", "Simult", str(rng.choice(["VFE", "FIC"]))))
         entry = roster[-1]
-        config = ExperimentConfig("d.csv", ["a"], "y", model_roster=roster)
         # each earlier entry fitted with probability 0.8, with a knot count
         # that names it
         fitted = {e.model_id: SimpleNamespace(n_knots=i) for i, e in enumerate(roster[:-1])
                   if rng.random() < 0.8}
         expected = _two_flag_source(roster, entry)
+        no_source = [e.model_id for e in roster
+                     if e.knot_selection == "Simult" and _two_flag_source(roster, e) is None]
+        if no_source:
+            # a roster with a Simult entry that has no source fails when the
+            # config loads, at the first such entry
+            with pytest.raises(ValueError, match=rf"^model {no_source[0]!r} needs an "
+                                                 "earlier OAT-BO entry"):
+                ExperimentConfig("d.csv", ["a"], "y", model_roster=roster)
+            outcomes.add("no source")
+            continue
+        config = ExperimentConfig("d.csv", ["a"], "y", model_roster=roster)
         if expected in fitted:
             with pytest.raises(_KnotCount) as picked_count:
                 bench._fit_entry(0, entry, config, dataset, 0, fitted)
@@ -458,12 +480,8 @@ def test_kmeans_knot_count_source_matches_two_flag_loop(monkeypatch):
         else:
             with pytest.raises(ValueError) as missing:
                 bench._fit_entry(0, entry, config, dataset, 0, fitted)
-            if expected is None:
-                assert "needs an earlier OAT-BO entry" in str(missing.value)
-                outcomes.add("no source")
-            else:
-                assert f"{expected!r}, which failed in this run" in str(missing.value)
-                outcomes.add("source failed")
+            assert f"{expected!r}, which failed in this run" in str(missing.value)
+            outcomes.add("source failed")
     assert outcomes == {"fitted", "no source", "source failed"}
 
 

@@ -111,12 +111,24 @@ def test_experiment_subcommand(tmp_path):
     assert len(lines) == 3
 
 
-def test_experiment_exit_code_on_model_failure(tmp_path):
-    roster = [{"model_id": "SVk", "knot_selection": "Simult",
-               "approximation": "VFE"}]   # fails: no OAT-BO source entry
+def test_experiment_exit_code_on_model_failure(tmp_path, monkeypatch):
+    def failing_oat_select(*args, **kwargs):
+        raise RuntimeError("selection failed")
+
+    monkeypatch.setattr(bench, "oat_select", failing_oat_select)
+    roster = [{"model_id": "OBVk", "knot_selection": "OAT-BO", "approximation": "VFE"}]
     config = _write_config(tmp_path, roster)
     code = main(["experiment", "--config", str(config)])
     assert code == 1
+
+
+def test_experiment_rejects_a_roster_at_load(tmp_path):
+    roster = [{"model_id": "SVk", "knot_selection": "Simult",
+               "approximation": "VFE"}]   # no OAT-BO source entry
+    config = _write_config(tmp_path, roster)
+    with pytest.raises(ValueError, match="needs an earlier OAT-BO entry"):
+        main(["experiment", "--config", str(config)])
+    assert not (tmp_path / "out").exists()
 
 
 def test_spike_demo_subcommand(tmp_path, capsys):

@@ -36,6 +36,16 @@ class TestFitFull:
         with pytest.raises(ValueError):
             fit_full(np.zeros((3, 1)), np.zeros(2), KernelParams(1.0, 1.0, 0.1))
 
+    def test_indefinite_covariance_raises_with_the_jitter_tried(self):
+        # at s2 = 1e20 the noise and jitter are lost to round-off, and the
+        # kernel of three nearly coincident rows is singular
+        params = KernelParams(1e20, 1.0, 1e-10, latent_jitter=1e-12)
+        with pytest.raises(NumericalError,
+                           match="^training covariance is not positive definite$") as err:
+            fit_full([[0.0], [0.0], [1e-9]], [1.0, 2.0, 3.0], params)
+        assert err.value.attempted_jitter == 1e-12
+        assert isinstance(err.value.__cause__, NumericalError)
+
 
 class TestLogMarginalLikelihood:
     def test_standard_normal_at_mean(self):

@@ -10,7 +10,8 @@ from knotgp import common, full_gp, kernels, sparse_gp
 from knotgp import (Approximation, KernelParams, OATConfig, SparseGPModel, fit_sparse,
                     kmeans_init, oat_select, propose_bo, propose_rs,
                     simultaneous_optimize)
-from knotgp.adadelta import OptimizerConfig, maximize
+from knotgp.adadelta import MaximizeResult, OptimizerConfig, maximize
+from knotgp.common import NumericalError
 
 
 def _toy_1d(n=120, seed=0, noise=0.3):
@@ -238,9 +239,13 @@ class TestInnerLoopDistanceCache:
             assert abs(value - fresh_value) <= 1e-12 * abs(fresh_value)
             assert np.max(np.abs(grad - fresh_grad)) <= 1e-12 * np.max(np.abs(fresh_grad))
             if active is None:
-                # with every knot free, simultaneous refinement evaluates
-                # exactly what a fresh build does; with none free, the
-                # buffers hold a fresh build's distances untouched
+                # every evaluation recomputes the whole K x K knot distances
+                # as a fresh build does; with every knot free it recomputes
+                # the knot-to-input distances whole as well, and with none
+                # free it keeps a fresh build's untouched, so both match to
+                # the bit. With one knot free, that knot's row of knot-to-input
+                # distances is a one-row product, which may differ from the
+                # same row of a whole product in the last bits.
                 assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
                 assert grad.tobytes() == fresh_grad.tobytes()
 
@@ -270,6 +275,56 @@ class TestInnerLoopDistanceCache:
             first, _, third = fg(v1), fg(v2), fg(v1)
             assert np.float64(first[0]).tobytes() == np.float64(third[0]).tobytes()
             assert first[1].tobytes() == third[1].tobytes()
+
+
+class TestSearchReturnsWhatItScored:
+    """The model a sparse search returns is built as each of its evaluations
+    is, so it scores the search's best value and holds its best point, bit
+    for bit, and later evaluations do not reach it."""
+
+    @staticmethod
+    def _problem():
+        # seed 4 of this draw is one where a fresh build at the best point
+        # differs from the search's best value in the last bits
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((200, 3))
+        y = np.sin(x[:, 0]) + 0.5 * x[:, 1] + 0.2 * rng.standard_normal(200)
+        knots = x[:8] + 0.05 * rng.standard_normal((8, 3))
+        return x, y, knots, KernelParams(1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    @pytest.mark.parametrize("free", [{}, {"active_knot_index": 7}, {"all_knots": True}],
+                             ids=["None", "7", "all"])
+    def test_model_scores_the_best_value(self, approx, free):
+        x, y, knots, params = self._problem()
+        start = SparseGPModel(approx, x, y, params, knots)
+        model, res = selection._optimize_params_and_knot(start, OptimizerConfig(max_steps=20),
+                                                         **free)
+        assert res.n_steps == 20
+        assert np.float64(model.objective()).tobytes() == np.float64(res.fun).tobytes()
+        assert model.params == params.with_log_vector(res.x[:3])
+        rows = start._free_rows(free.get("active_knot_index"), free.get("all_knots", False))
+        assert model.knots.locations[rows].reshape(-1).tobytes() == res.x[3:].tobytes()
+        fixed = np.ones(len(knots), dtype=bool)
+        fixed[rows] = False
+        np.testing.assert_array_equal(model.knots.locations[fixed], knots[fixed])
+
+    @pytest.mark.parametrize("free", [{}, {"active_knot_index": 7}, {"all_knots": True}],
+                             ids=["None", "7", "all"])
+    def test_later_evaluations_leave_the_model_alone(self, free):
+        x, y, knots, params = self._problem()
+        objective_with_grad, init, model_at = SparseGPModel(
+            Approximation.DTC, x, y, params, knots)._ascent(**free)
+        model = model_at(init)
+        locations = model.knots.locations.copy()
+        value, grad = model.objective_grad(**free)
+        moved = init + 0.3 * np.random.default_rng(5).standard_normal(init.shape)
+        objective_with_grad(moved)
+        assert model.knots.locations.tobytes() == locations.tobytes()
+        assert np.float64(model.objective()).tobytes() == np.float64(value).tobytes()
+        again_value, again_grad = model.objective_grad(**free)
+        assert np.float64(again_value).tobytes() == np.float64(value).tobytes()
+        assert again_grad.tobytes() == grad.tobytes()
 
 
 class TestValidationOutsideTheLoop:
@@ -518,6 +573,115 @@ class TestOatSelect:
                               OptimizerConfig(max_steps=80))
         knots = model.knots.locations[:, 0]
         assert knots.max() - knots.min() >= 0.6 * (x.max() - x.min())
+
+
+class TestOatSelectStopsEarly:
+    """Each way a selection run stops early names its cause in
+    ``stopped_because`` and returns the model of the last search that
+    finished."""
+
+    PARAMS = KernelParams(1.0, 0.3, 0.1)
+
+    @staticmethod
+    def _config(proposal="rs"):
+        return OATConfig(initial_knot_count=3, max_knots=6, proposal=proposal,
+                         rs_subset_size=6, bo_budget=6, bo_initial_design=3,
+                         improvement_tol=1e-9, rng_seed=7)
+
+    @staticmethod
+    def _searches(monkeypatch, fail_at=None, error=None):
+        """Record each (model, result) the sparse search returns; the search
+        numbered ``fail_at`` raises ``error`` instead."""
+        fits = []
+        original = selection._optimize_params_and_knot
+
+        def spy(start, config, **free):
+            if len(fits) == fail_at:
+                raise error
+            fits.append(original(start, config, **free))
+            return fits[-1]
+
+        monkeypatch.setattr(selection, "_optimize_params_and_knot", spy)
+        return fits
+
+    @pytest.mark.parametrize("reason", ["non_finite_objective", "non_finite_gradient"])
+    def test_initial_fit_stops_non_finite(self, monkeypatch, reason):
+        def stops(objective_with_grad, init, config):
+            value, _ = objective_with_grad(init)
+            return MaximizeResult(init.copy(), value, np.array([value]), 0, reason)
+
+        monkeypatch.setattr(selection, "maximize", stops)
+        proposals = []
+        monkeypatch.setattr(selection, "propose_rs", lambda *args: proposals.append(args))
+        fits = self._searches(monkeypatch)
+        x, y = _toy_1d(n=60)
+        model, trace = oat_select(x, y, self.PARAMS, self._config(), OptimizerConfig())
+        assert trace.stopped_because == f"initial optimization: {reason}"
+        assert [step.stop_reason for step in trace.steps] == [reason]
+        assert proposals == []
+        assert len(fits) == 1 and model is fits[0][0]
+        assert model.n_knots == 3
+        assert model.params == self.PARAMS.with_log_vector(self.PARAMS.log_vector())
+        assert model.objective() == trace.steps[0].objective_after
+
+    @pytest.mark.parametrize("proposal", ["rs", "bo"])
+    def test_proposal_raises(self, monkeypatch, proposal):
+        name = {"rs": "propose_rs", "bo": "propose_bo"}[proposal]
+        original = getattr(selection, name)
+        calls = []
+
+        def fails_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericalError("knot covariance is not positive definite",
+                                     attempted_jitter=1e-8)
+            return original(*args)
+
+        monkeypatch.setattr(selection, name, fails_second)
+        fits = self._searches(monkeypatch)
+        x, y = _toy_1d(n=60)
+        model, trace = oat_select(x, y, self.PARAMS, self._config(proposal),
+                                  OptimizerConfig(max_steps=40))
+        assert trace.stopped_because == ("proposal failed: knot covariance is not "
+                                         "positive definite")
+        assert len(calls) == 2 and len(trace.steps) == len(fits) == 2
+        assert model is fits[1][0] and model.n_knots == 4
+
+    @pytest.mark.parametrize("error", [
+        NumericalError("low-rank system is not positive definite"),
+        ValueError("knot locations contains non-finite entries"),
+    ], ids=["NumericalError", "ValueError"])
+    def test_inner_search_raises(self, monkeypatch, error):
+        fits = self._searches(monkeypatch, fail_at=2, error=error)
+        x, y = _toy_1d(n=60)
+        model, trace = oat_select(x, y, self.PARAMS, self._config(),
+                                  OptimizerConfig(max_steps=40))
+        assert trace.stopped_because == f"inner optimization failed: {error}"
+        assert len(trace.steps) == len(fits) == 2
+        assert model is fits[1][0] and model.n_knots == 4
+        assert model.objective() == trace.steps[1].objective_after
+
+
+def test_candidate_that_raises_gains_minus_inf(monkeypatch):
+    x, y = _toy_1d(n=40)
+    model = _toy_model(x, y, np.array([[0.5]]))
+    base = model.objective()
+    exact = np.array([model.objective_with_added_knot(row) - base for row in x])
+    best = int(np.argmax(exact))
+    original = SparseGPModel.objective_with_added_knot
+
+    def fails_on_best(self, location):
+        if np.array_equal(location, x[best]):
+            raise NumericalError("knot covariance is not positive definite")
+        return original(self, location)
+
+    monkeypatch.setattr(SparseGPModel, "objective_with_added_knot", fails_on_best)
+    gains = selection._candidate_gains(model, x, np.arange(40))
+    assert gains[best] == -np.inf
+    np.testing.assert_array_equal(np.delete(gains, best), np.delete(exact, best))
+    exact[best] = -np.inf
+    np.testing.assert_array_equal(propose_rs(model, x, subset_size=40, seed=0),
+                                  x[int(np.argmax(exact))])
 
 
 @pytest.mark.parametrize("search", [
