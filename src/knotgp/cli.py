@@ -36,7 +36,7 @@ def _apply_overrides(config: bench.ExperimentConfig, args) -> bench.ExperimentCo
 
 
 def _cmd_fit(args) -> int:
-    config = _apply_overrides(bench.ExperimentConfig.from_json(args.config), args)
+    config = args.config
     table = bench.load_csv(config.dataset_path, config.predictor_columns,
                            config.target_column, config.filter_rules)
     _, dataset, _ = next(bench.experiment_runs(config, table))
@@ -66,9 +66,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = _apply_overrides(bench.ExperimentConfig.from_json(args.config), args)
-    results, ok = bench.run_experiment(config)
-    print(f"wrote {len(results)} result rows to {config.output_dir}")
+    results, ok = bench.run_experiment(args.config)
+    print(f"wrote {len(results)} result rows to {args.config.output_dir}")
     return 0 if ok else 1
 
 
@@ -132,6 +131,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
+    if hasattr(args, "config"):         # fit and experiment get the loaded config
+        try:
+            args.config = _apply_overrides(bench.ExperimentConfig.from_json(args.config), args)
+        except (OSError, TypeError, ValueError) as err:
+            print(f"knotgp {args.command}: error: {err}", file=sys.stderr)
+            return 2                    # argparse's exit code for a usage error
     return args.func(args)
 
 

@@ -13,12 +13,15 @@ its knots for the initial fit, the new knot in each round, or all of them.
 The search only runs the optimizer: the start model's ``_ascent`` evaluates
 each point and builds the result.
 
-Proposals always return a member of the candidate pool; continuous movement
-of a knot happens only inside the gradient step that follows. Each probed
-candidate is scored by ``SparseGPModel.objective_with_added_knot``: an exact
-rank-one update for VFE, a rebuild for FIC. The BO surrogate's
-hyperparameters are searched once per proposal, on its initial design, by a
-150-step ADADELTA ascent (see :func:`_fit_surrogate` for why not BFGS).
+Both proposals run through :func:`_propose`: a sorted random initial design
+of the eligible pool rows, which is the whole random-subset proposal, then
+for BO expected-improvement picks. Proposals always return a member of the
+candidate pool; continuous movement of a knot happens only inside the
+gradient step that follows. Each probed candidate is scored by
+``SparseGPModel.objective_with_added_knot``: an exact rank-one update for
+VFE, a rebuild for FIC. The BO surrogate's hyperparameters are searched once
+per proposal, on its initial design, by a 150-step ADADELTA ascent (see
+:func:`_fit_surrogate` for why not BFGS).
 """
 
 from __future__ import annotations
@@ -138,17 +141,13 @@ def _candidate_gains(model: SparseGPModel, pool: np.ndarray, indices) -> np.ndar
 
 
 def propose_rs(model: SparseGPModel, candidate_pool, subset_size: int, seed) -> np.ndarray:
-    """Best-of-random-subset proposal: the sampled pool row whose addition,
-    parameters fixed, most improves the model's objective. Ties go to the
-    lowest pool index."""
-    pool = _knot_array(as_input_matrix(candidate_pool, "candidate pool"), model.x)
+    """Best-of-random-subset proposal: the sampled eligible pool row whose
+    addition, parameters fixed, most improves the model's objective; the
+    Bayesian-optimization proposal's initial design with no acquisition
+    rounds. Ties go to the lowest pool index."""
     if subset_size < 1:
         raise ValueError("subset_size must be at least 1")
-    rng = np.random.default_rng(seed)
-    take = min(subset_size, pool.shape[0])
-    indices = np.sort(rng.choice(pool.shape[0], size=take, replace=False))
-    gains = _candidate_gains(model, pool, indices)
-    return pool[indices[int(np.argmax(gains))]].copy()
+    return _propose(model, candidate_pool, subset_size, subset_size, seed)
 
 
 def _fit_surrogate(inputs: np.ndarray, gains: np.ndarray, init_params: KernelParams):
@@ -179,32 +178,31 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
     expected improvement picks the next probe until the budget is spent.
     The surrogate's hyperparameters are fitted once, by marginal-likelihood
     ascent on the ``initial_design`` probes; each later probe re-conditions
-    the exact GP on all probes at those hyperparameters. Candidates
-    coinciding with an existing knot are never conditioned on; if that
-    excludes everything the proposal falls back to an exhaustive
-    random-subset pass over the full pool. Requires
+    the exact GP on all probes at those hyperparameters. Requires
     ``0 < initial_design < budget``.
     """
-    pool = _knot_array(as_input_matrix(candidate_pool, "candidate pool"), model.x)
     if not 0 < initial_design < budget:
         raise ValueError(f"require 0 < initial_design < budget, got initial_design="
                          f"{initial_design} and budget={budget}")
-    rng = np.random.default_rng(seed)
+    return _propose(model, candidate_pool, budget, initial_design, seed)
 
+
+def _propose(model: SparseGPModel, candidate_pool, budget: int, initial_design: int,
+             seed) -> np.ndarray:
+    """The best of at most ``budget`` probed eligible pool rows: a sorted
+    random ``initial_design`` of them, then expected-improvement picks. A row
+    is eligible if it coincides with no knot, or if every row coincides with
+    one; ties go to the earliest probe."""
+    pool = _knot_array(as_input_matrix(candidate_pool, "candidate pool"), model.x)
+    rng = np.random.default_rng(seed)
     eligible = np.flatnonzero(~_coincident(pool, model.knots.locations).any(axis=1))
     if eligible.size == 0:
-        logger.warning("all candidates coincide with existing knots; "
-                       "falling back to a full-pool random-subset proposal")
-        return propose_rs(model, pool, pool.shape[0], rng)
-
+        logger.warning("all candidates coincide with existing knots; proposing among them")
+        eligible = np.arange(pool.shape[0])
     budget = min(budget, eligible.size)
-    initial_design = min(initial_design, budget)
 
-    pool_mean = pool.mean(axis=0)
-    pool_sd = np.maximum(pool.std(axis=0), 1e-12)
-    coords = (pool - pool_mean) / pool_sd
-
-    probed = list(np.sort(rng.choice(eligible, size=initial_design, replace=False)))
+    probed = list(np.sort(rng.choice(eligible, size=min(initial_design, budget),
+                                     replace=False)))
     gains = list(_candidate_gains(model, pool, probed))
     unprobed = np.zeros(pool.shape[0], dtype=bool)
     unprobed[eligible] = True
@@ -216,6 +214,7 @@ def propose_bo(model: SparseGPModel, candidate_pool, budget: int, initial_design
         floor = min(finite_only) if finite_only else 0.0
         finite = np.asarray([g if np.isfinite(g) else floor for g in gains])
         if surrogate is None:
+            coords = (pool - pool.mean(axis=0)) / np.maximum(pool.std(axis=0), 1e-12)
             gvar = max(float(np.var(finite)), 1e-10)
             surrogate = _fit_surrogate(coords[probed], finite,
                                        KernelParams(gvar, 1.0, max(1e-6 * gvar, 1e-12)))

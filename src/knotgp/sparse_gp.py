@@ -112,8 +112,8 @@ from .kernels import (KernelParams, _exponent_rows, _kernel, _row_norms, _square
                       _unit_kernel, cov_matrix, squared_distances)
 
 # two points closer than this in every coordinate coincide: a knot set that
-# holds such a pair has duplicates, and the Bayesian-optimization proposal
-# does not condition on a candidate that coincides with a knot
+# holds such a pair has duplicates, and no proposal scores a candidate that
+# coincides with a knot
 COINCIDENCE_TOL = 1e-9
 
 # the rank-one gain needs delta2 above this fraction of s2 + jitter; a
@@ -168,8 +168,12 @@ class KnotSet:
 
 def _coincident(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) mask of the row pairs of ``a`` and ``b`` that lie within
-    ``COINCIDENCE_TOL`` of each other in every coordinate."""
-    return (np.abs(a[:, None, :] - b[None, :, :]) <= COINCIDENCE_TOL).all(axis=2)
+    ``COINCIDENCE_TOL`` of each other in every coordinate; coordinate 0
+    screens the pairs, so no (n, m, d) temporary is formed."""
+    pairs = np.abs(a[:, None, 0] - b[None, :, 0]) <= COINCIDENCE_TOL
+    i, j = np.nonzero(pairs)
+    pairs[i, j] = (np.abs(a[i] - b[j]) <= COINCIDENCE_TOL).all(axis=1)
+    return pairs
 
 
 def _knot_array(knots, x: np.ndarray) -> np.ndarray:

@@ -321,6 +321,24 @@ class TestBfgs:
         assert jumps.max() <= adadelta.MAX_STEP * (1.0 + 1e-12)
         assert res.n_steps >= 49.0 / adadelta.MAX_STEP
 
+    def test_non_positive_curvature_pairs_are_skipped(self):
+        # cos is convex near 3, so the first iterations toward its maximum at
+        # 0 give pairs that would make the inverse-Hessian estimate indefinite
+        seen = {}
+
+        def fg(v):
+            value, grad = float(np.cos(v[0])), np.array([-np.sin(v[0])])
+            seen[value] = (v[0], grad[0])
+            return value, grad
+
+        res = maximize(fg, np.array([3.0]), method="bfgs")
+        assert (res.stop_reason, res.n_steps) == ("converged", 8)
+        assert res.x[0] == pytest.approx(0.0, abs=1e-6)
+        iterates = np.array([seen[value] for value in res.trace])
+        step, change = np.diff(iterates[:, 0]), -np.diff(iterates[:, 1])
+        assert int(np.sum(step * change <= 0.0)) == 4
+        self._check_contract(res, fg)
+
     def test_zero_gradient_at_start_converges_without_steps(self):
         res = maximize(lambda v: (1.0, np.zeros_like(v)), np.array([0.3]), method="bfgs")
         assert (res.stop_reason, res.n_steps) == ("converged", 0)

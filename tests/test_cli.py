@@ -122,13 +122,32 @@ def test_experiment_exit_code_on_model_failure(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_experiment_rejects_a_roster_at_load(tmp_path):
+def test_experiment_rejects_a_roster_at_load(tmp_path, capsys):
     roster = [{"model_id": "SVk", "knot_selection": "Simult",
                "approximation": "VFE"}]   # no OAT-BO source entry
     config = _write_config(tmp_path, roster)
-    with pytest.raises(ValueError, match="needs an earlier OAT-BO entry"):
-        main(["experiment", "--config", str(config)])
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == ("knotgp experiment: error: model 'SVk' needs an "
+                                       "earlier OAT-BO entry to set its knot count\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "experiment"])
+def test_unknown_config_key_exits_with_one_line(tmp_path, capsys, command):
+    config = _write_config(tmp_path, [], n_knots=5)
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"knotgp {command}: error: ") and "'n_knots'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "experiment"])
+def test_missing_config_file_exits_with_one_line(tmp_path, capsys, command):
+    missing = tmp_path / "absent.json"
+    assert main([command, "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"knotgp {command}: error: ") and str(missing) in err
+    assert err.count("\n") == 1
 
 
 def test_spike_demo_subcommand(tmp_path, capsys):

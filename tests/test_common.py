@@ -101,6 +101,12 @@ class TestCholLower:
             assert info.value.attempted_jitter == last_ridge
 
 
+def test_one_dimensional_input_becomes_a_column():
+    a = common.as_input_matrix([0.5, -1.0, 2.0])
+    assert a.shape == (3, 1) and a.dtype == float
+    np.testing.assert_array_equal(a[:, 0], [0.5, -1.0, 2.0])
+
+
 class TestNegativeVarianceClamp:
     """Both predictors clamp negative latent variances at zero and count them.
     Halving a fitted Cholesky factor quadruples the variance explained by the

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -23,6 +24,34 @@ def _toy_1d(n=120, seed=0, noise=0.3):
 
 def _toy_model(x, y, knots, approx=Approximation.DTC):
     return fit_sparse(approx, x, y, KernelParams(1.0, 0.25, 0.1), knots)
+
+
+def _spy_scores(monkeypatch) -> list:
+    """The locations every later ``objective_with_added_knot`` call scores."""
+    scored = []
+    original = SparseGPModel.objective_with_added_knot
+
+    def spy(self, location):
+        scored.append(np.array(location))
+        return original(self, location)
+
+    monkeypatch.setattr(SparseGPModel, "objective_with_added_knot", spy)
+    return scored
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(initial_knot_count=0), "initial_knot_count must be at least 1"),
+    (dict(initial_knot_count=5, max_knots=4), "max_knots must be at least initial_knot_count"),
+    (dict(proposal="grid"), "proposal must be 'bo' or 'rs', got 'grid'"),
+    (dict(objective="elbo"), "objective must be 'vfe' or 'fic', got 'elbo'"),
+    (dict(improvement_tol=0.0), "improvement_tol must be positive"),
+    (dict(rs_subset_size=0), "rs_subset_size must be at least 1"),
+    (dict(bo_budget=10, bo_initial_design=10), "require 0 < bo_initial_design < bo_budget"),
+], ids=["initial_knot_count", "max_knots", "proposal", "objective", "improvement_tol",
+        "rs_subset_size", "bo_initial_design"])
+def test_oat_config_rejects(overrides, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OATConfig(**overrides)
 
 
 class TestKmeansInit:
@@ -98,6 +127,16 @@ class TestProposeRs:
         with pytest.raises(ValueError):
             propose_rs(model, np.zeros((0, 1)), subset_size=3, seed=0)
 
+    def test_full_subset_never_scores_a_knot_row(self, monkeypatch):
+        # a candidate on a knot would cost a rebuild and gain nothing
+        x, y = _toy_1d(n=40)
+        model = _toy_model(x, y, x[[3, 17, 29]])
+        scored = _spy_scores(monkeypatch)
+        picked = propose_rs(model, x, subset_size=40, seed=0)
+        assert len(scored) == 37
+        knots = model.knots.locations
+        assert not any((row == knots).all(axis=1).any() for row in [*scored, picked])
+
 
 @pytest.mark.parametrize("propose", [
     lambda model, pool: propose_rs(model, pool, subset_size=3, seed=0),
@@ -128,10 +167,12 @@ class TestProposeBo:
         gains = [model.objective_with_added_knot(row) - base for row in x]
         np.testing.assert_allclose(picked, x[int(np.argmax(gains))])
 
-    def test_fallback_when_all_candidates_coincide_with_knots(self):
+    def test_all_candidates_on_knots_keeps_the_budget(self, monkeypatch):
         x, y = _toy_1d(n=30)
         model = _toy_model(x, y, x.copy())   # every pool row is a knot
+        scored = _spy_scores(monkeypatch)
         picked = propose_bo(model, x, budget=10, initial_design=3, seed=0)
+        assert len(scored) == 10
         assert any(np.allclose(picked, row) for row in x)
 
     def test_excluded_candidates_never_proposed(self):

@@ -33,6 +33,30 @@ class TestKnotSet:
             near = knots[2] + offset * np.array([1.0, -1.0, 0.5, 0.0, 1.0])
             assert KnotSet(np.vstack([knots, near])).has_duplicates is flagged
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_coincidence_mask_matches_the_broadcast_form(self, d):
+        # pairs at the tolerance and just past it, in one coordinate or in all
+        rng = np.random.default_rng(d)
+        b = rng.standard_normal((12, d))
+        tol = sparse_gp.COINCIDENCE_TOL
+        shifts = []
+        for size in (0.0, tol, np.nextafter(tol, 1.0), 2.0 * tol, 1e-6):
+            for axis in range(d):
+                shift = np.zeros(d)
+                shift[axis] = size
+                shifts.append(shift)
+            shifts.append(np.full(d, size))
+        rows = rng.integers(0, 12, len(shifts))
+        a = np.vstack([b[rows] + np.array(shifts) * rng.choice([-1.0, 1.0], (len(rows), d)),
+                       rng.standard_normal((20, d)), b[:1]])
+        broadcast = (np.abs(a[:, None, :] - b[None, :, :]) <= tol).all(axis=2)
+        hits = broadcast[:len(rows)].any(axis=1)
+        assert hits.any() and not hits.all()
+        np.testing.assert_array_equal(sparse_gp._coincident(a, b), broadcast)
+        assert not KnotSet(b).has_duplicates
+        for row, hit in zip(a, hits):
+            assert KnotSet(np.vstack([b, row])).has_duplicates is bool(hit)
+
     def test_dic_and_fitc_cannot_fit(self):
         x, y = np.zeros((3, 1)), np.zeros(3)
         p = KernelParams(1.0, 1.0, 0.1)
@@ -784,6 +808,15 @@ class TestPriorVarianceReport:
             for approx, expected in self.EXPECTED.items():
                 report = prior_variance_report(approx, x, xt, knots, p)
                 assert report == expected, f"{approx} trial {trial}: {report}"
+
+    def test_one_test_point_has_no_covariance_to_compare(self):
+        # DIC matches nothing on five test points; one has no off-diagonal
+        rng = np.random.default_rng(21)
+        x, knots = rng.standard_normal((6, 2)), rng.standard_normal((3, 2))
+        p = KernelParams(1.0, 1.0, 0.1)
+        report = prior_variance_report(Approximation.DIC, x, x[:1] + 0.5, knots, p)
+        assert report == dict(train_cov_match=False, train_var_match=False,
+                              test_var_match=False, test_cov_match=True)
 
     def test_dic_saturation_all_match(self):
         rng = np.random.default_rng(19)
