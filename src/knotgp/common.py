@@ -1,7 +1,7 @@
 """Shared numerical helpers and result containers.
 
-The package calls five compiled scipy routines: BLAS ``dtrsm`` and
-``dgemm``, LAPACK ``dpotrf`` and ``dpotri``, and the ``ndtr`` ufunc. They
+The package calls six compiled scipy routines: BLAS ``dtrsm``, ``dtrmm``
+and ``dgemm``, LAPACK ``dpotrf`` and ``dpotri``, and the ``ndtr`` ufunc. They
 are bound here, by :func:`_scipy_routine`, straight from the extension
 modules that hold them (``scipy/linalg/_fblas``, ``scipy/linalg/_flapack`` and
 ``scipy/special/_special_ufuncs``), so no ``__init__`` of ``scipy.linalg``
@@ -57,6 +57,7 @@ def _scipy_routine(extension: str, routine: str, public: str):
 
 
 dtrsm = _scipy_routine("scipy.linalg._fblas", "dtrsm", "scipy.linalg.blas")
+dtrmm = _scipy_routine("scipy.linalg._fblas", "dtrmm", "scipy.linalg.blas")
 dgemm = _scipy_routine("scipy.linalg._fblas", "dgemm", "scipy.linalg.blas")
 dpotrf = _scipy_routine("scipy.linalg._flapack", "dpotrf", "scipy.linalg.lapack")
 dpotri = _scipy_routine("scipy.linalg._flapack", "dpotri", "scipy.linalg.lapack")

@@ -63,22 +63,25 @@ from the build, and latent variance
     (s2 + jitter) - v^T (I - B~^{-1}) v
 
 (Quinonero-Candela & Rasmussen 2005). Both are fixed K x K forms in ``k``,
-so all K x K work is done once per model, into a (K + 1) x K factor
-``F = [a^T; P]`` with ``a = L^{-T} c`` and ``P^T P = L^{-T} (I - B~^{-1})
-L^{-1}``. ``P`` comes from the eigendecomposition of ``B~^{-1}``, whose
-eigenvalues lie in (0, 1], so the variance is a sum of squares with no
-cancellation against a large ``L^{-T} (I - B~^{-1}) L^{-1}``. ``k`` itself
-needs no distance matrix: with the knots' rows ``[u / ell, -|u / ell|^2 / 2,
-1]`` and the test points' ``[t / ell, 1, -|t / ell|^2 / 2]``, one product
+so all K x K work is done once per model, into the mean weights
+``a = L^{-T} c`` plus a triangular factor ``R`` with ``R^T R = P^T P =
+L^{-T} (I - B~^{-1}) L^{-1}``. ``P`` comes from the eigendecomposition of
+``B~^{-1}``, whose eigenvalues lie in (0, 1], so the variance is a sum of
+squares with no cancellation against a large ``L^{-T} (I - B~^{-1})
+L^{-1}``, and ``R`` is the triangle of its QR factorization, which keeps
+that accuracy at half the flops of a product with ``P``. ``k`` itself needs
+no distance matrix: with the knots' rows ``[u / ell, -|u / ell|^2 / 2, 1]``
+and the test points' columns ``[t / ell; 1; -|t / ell|^2 / 2]``, one product
 gives the exponent ``-|u - t|^2 / (2 ell^2)``. A batch of test points thus
-takes two products, exponentiating in between, and no triangular solve.
-The fit keeps its squared distances, which the lengthscale gradient reads
-and the ascent updates in place.
+takes that product, exponentiated in place, a product with the mean
+weights, and one in-place triangular product, ``R k``, and no triangular
+solve. The fit keeps its squared distances, which the lengthscale gradient
+reads and the ascent updates in place.
 
-``B~^{-1}`` and the prediction operands (the knots' rows and ``s2 F``) are
-cached lazily and read-only, once per model: the gradient or the first
-prediction forms ``B~^{-1}``, only prediction forms the operands, and an
-evaluation of the objective alone forms neither.
+``B~^{-1}`` and the prediction operands (the knots' rows, ``s2 a`` and
+``s2 R``) are cached lazily and read-only, once per model: the gradient or
+the first prediction forms ``B~^{-1}``, only prediction forms the operands,
+and an evaluation of the objective alone forms neither.
 
 Appending one knot ``u`` with the parameters fixed borders ``L`` with
 ``l = L^{-1} k_u`` and the pivot ``delta = sqrt(delta2)``,
@@ -107,9 +110,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from .common import (LOG_2PI, PredictiveDistribution, _clamped_prediction, _test_inputs,
-                     _training_data, as_input_matrix, chol_lower, dgemm, tri_solve)
-from .kernels import (KernelParams, _exponent_rows, _kernel, _row_norms, _squared_distances,
-                      _unit_kernel, cov_matrix, squared_distances)
+                     _training_data, as_input_matrix, chol_lower, dgemm, dtrmm, tri_solve)
+from .kernels import (KernelParams, _exponent_columns, _exponent_rows, _kernel, _row_norms,
+                      _squared_distances, _unit_kernel, cov_matrix, squared_distances)
 
 # two points closer than this in every coordinate coincide: a knot set that
 # holds such a pair has duplicates, and no proposal scores a candidate that
@@ -168,9 +171,11 @@ class KnotSet:
 
 def _coincident(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) mask of the row pairs of ``a`` and ``b`` that lie within
-    ``COINCIDENCE_TOL`` of each other in every coordinate; coordinate 0
-    screens the pairs, so no (n, m, d) temporary is formed."""
-    pairs = np.abs(a[:, None, 0] - b[None, :, 0]) <= COINCIDENCE_TOL
+    ``COINCIDENCE_TOL`` of each other in every coordinate; the coordinate
+    where the rows of ``b`` spread most screens the pairs, so no (n, m, d)
+    temporary is formed."""
+    axis = int(np.ptp(b, axis=0).argmax())
+    pairs = np.abs(a[:, None, axis] - b[None, :, axis]) <= COINCIDENCE_TOL
     i, j = np.nonzero(pairs)
     pairs[i, j] = (np.abs(a[i] - b[j]) <= COINCIDENCE_TOL).all(axis=1)
     return pairs
@@ -456,29 +461,36 @@ class SparseGPModel:
         return binv
 
     @functools.cached_property
-    def _predictor(self) -> tuple[np.ndarray, np.ndarray]:
-        """The knot block and the prediction factor, both read-only, formed on
-        the first :meth:`predict`, never by :meth:`_build` or the gradient.
+    def _predictor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The knot block, the mean weights and the triangular factor, all
+        read-only, formed on the first :meth:`predict`, never by
+        :meth:`_build` or the gradient.
 
         The knot block is the (K, d + 2) :func:`kernels._exponent_rows` of
-        the knots. The factor is ``s2 F``, (K + 1, K), which takes the unit
-        kernel of :func:`kernels._unit_kernel` to ``F k``. Row 0 of ``F`` is
-        ``a = L^{-T} c``. Rows 1..K are
+        the knots. The weights are ``s2 a`` with ``a = L^{-T} c``, so the
+        unit kernel ``k`` of :func:`kernels._unit_kernel` gives the mean
+        ``m + s2 a^T k``. The factor is the upper triangular, Fortran-ordered
+        (K, K) ``R`` of the QR factorization of ``s2 P``, where
         ``P = diag(sqrt(max(1 - mu, 0))) W^T L^{-1}`` with
-        ``B~^{-1} = W diag(mu) W^T``, so ``P^T P = L^{-T} (I - B~^{-1}) L^{-1}``.
-        The eigenvalues ``mu`` lie in (0, 1], so the clip only removes
-        round-off. On near-duplicate knots the factored form keeps the
-        variance as accurate as the whitened ``v``; the product
-        ``L^{-T} (I - B~^{-1}) L^{-1}`` itself does not.
+        ``B~^{-1} = W diag(mu) W^T``, so that
+        ``R^T R = s2^2 P^T P = s2^2 L^{-T} (I - B~^{-1}) L^{-1}`` and
+        ``||R k||^2`` is the variance's quadratic form. The eigenvalues ``mu``
+        lie in (0, 1], so the clip only removes round-off. On near-duplicate
+        knots the factored form keeps the variance as accurate as the
+        whitened ``v``; the product ``L^{-T} (I - B~^{-1}) L^{-1}`` itself
+        does not. The QR factorization is backward stable, so ``R`` keeps
+        that accuracy, also where ``P`` is rank-deficient (more knots than
+        training rows).
         """
+        s2 = self.params.signal_variance
+        weights = s2 * tri_solve(self._luu, self._c, trans=True)
         mu, w = np.linalg.eigh(self._b_inverse)
-        rhs = np.column_stack([self._c, w * np.sqrt(np.maximum(1.0 - mu, 0.0))])
-        factor = tri_solve(self._luu, rhs, trans=True).T
-        factor *= self.params.signal_variance
+        p = tri_solve(self._luu, w * np.sqrt(np.maximum(1.0 - mu, 0.0)), trans=True).T
+        factor = np.asfortranarray(np.linalg.qr(s2 * p, mode="r"))
         knot_rows = _exponent_rows(self.knots.locations, self.params.lengthscale)
-        for operand in (knot_rows, factor):
+        for operand in (knot_rows, weights, factor):
             operand.flags.writeable = False
-        return knot_rows, factor
+        return knot_rows, weights, factor
 
     def _dtc_adjoint(self, va, g):
         """(d/dlog s2, d/dlog tau2, adj Suu, adj S) of the variational
@@ -564,20 +576,24 @@ class SparseGPModel:
 
         FIC marginals coincide with FITC's. Each call validates the test rows
         once, forms no distance matrix and makes no triangular solve. With
-        the operands cached in :attr:`_predictor`, one product of the knot
-        block and the test rows' (m, d + 2) block gives the kernel's
-        exponent, exponentiated in place in one K x m buffer, and one more
-        with the factor gives ``z = F k``: ``mean_j = m + z_0j`` and
-        ``var_j = (s2 + jitter) - sum_i z_ij^2`` over rows i = 1..K. A test
-        row extreme enough to make its variance NaN raises
+        the mean weights plus the triangular factor cached in
+        :attr:`_predictor`, one product of the knot block and the test rows'
+        C-contiguous (d + 2, m) block gives the kernel's exponent,
+        exponentiated in place in one K x m buffer ``k``. The weights give
+        ``mean_j = m + s2 a^T k_j``; then one in-place triangular product
+        (BLAS ``dtrmm``) turns ``k``, which the mean no longer needs, into
+        ``z = R k``, and ``var_j = (s2 + jitter) - sum_i z_ij^2``. A test row
+        extreme enough to make its variance NaN raises
         :class:`NumericalError`.
         """
         xt = _test_inputs(test_inputs, self.x)
         params = self.params
-        knot_rows, factor = self._predictor
-        z = factor @ _unit_kernel(knot_rows, _exponent_rows(xt, params.lengthscale, test=True))
-        mean = self.mean_constant + z[0]
-        quad = z[1:]
+        knot_rows, weights, factor = self._predictor
+        kmat = _unit_kernel(knot_rows, _exponent_columns(xt, params.lengthscale))
+        mean = self.mean_constant + weights @ kmat
+        # a C-ordered K x m array is a Fortran-ordered m x K one to BLAS, so
+        # k^T R^T = (R k)^T overwrites it in place
+        quad = dtrmm(1.0, factor, kmat.T, side=1, lower=0, trans_a=1, overwrite_b=1).T
         var = params.signal_variance + params.latent_jitter - np.einsum("kj,kj->j", quad, quad)
         return _clamped_prediction(mean, var, params.noise_variance, self.diagnostics)
 

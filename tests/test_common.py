@@ -178,6 +178,7 @@ def _same_bits(a, b) -> bool:
 
 
 _ROUTINES = [("scipy.linalg._fblas", "dtrsm", "scipy.linalg.blas"),
+             ("scipy.linalg._fblas", "dtrmm", "scipy.linalg.blas"),
              ("scipy.linalg._fblas", "dgemm", "scipy.linalg.blas"),
              ("scipy.linalg._flapack", "dpotrf", "scipy.linalg.lapack"),
              ("scipy.linalg._flapack", "dpotri", "scipy.linalg.lapack"),
@@ -187,7 +188,7 @@ _NDTR_POINTS = np.concatenate([np.linspace(-40.0, 40.0, 8001),
                                [0.0, -0.0, np.inf, -np.inf, np.nan]])
 
 
-def _check_routines(dtrsm, dgemm, dpotrf, dpotri, ndtr):
+def _check_routines(dtrsm, dtrmm, dgemm, dpotrf, dpotri, ndtr):
     """Each routine returns the bits of scipy's public one on seeded inputs."""
     rng = np.random.default_rng(11)
     factor = np.linalg.cholesky(_spd(rng, 7))
@@ -198,6 +199,16 @@ def _check_routines(dtrsm, dgemm, dpotrf, dpotri, ndtr):
                               trans_a=trans_a, overwrite_b=overwrite_b)
                             for f in (dtrsm, scipy.linalg.blas.dtrsm))
             assert _same_bits(ours, theirs)
+    # as sparse prediction calls it: a Fortran-ordered upper triangle applied
+    # in place to a C-ordered K x m kernel seen as a Fortran m x K one
+    upper = np.asfortranarray(factor.T)
+    kmat = rng.standard_normal((7, 40))
+    ours, theirs = (f(1.0, upper, kmat.copy().T, side=1, lower=0, trans_a=1, overwrite_b=1)
+                    for f in (dtrmm, scipy.linalg.blas.dtrmm))
+    assert _same_bits(ours, theirs)
+    in_place = kmat.copy()
+    assert dtrmm(1.0, upper, in_place.T, side=1, lower=0, trans_a=1,
+                 overwrite_b=1).T.base is in_place
     a, b = rng.standard_normal((40, 7)), rng.standard_normal((7, 7))
     for trans_b in (0, 1):
         c = rng.standard_normal((40, 7))
@@ -220,7 +231,8 @@ def _check_routines(dtrsm, dgemm, dpotrf, dpotri, ndtr):
 
 class TestScipyBinding:
     def test_bound_routines_match_scipy_bit_for_bit(self):
-        _check_routines(common.dtrsm, common.dgemm, common.dpotrf, common.dpotri, common.ndtr)
+        _check_routines(common.dtrsm, common.dtrmm, common.dgemm, common.dpotrf, common.dpotri,
+                        common.ndtr)
 
     def _bind_all(self, monkeypatch):
         for extension, _, _ in _ROUTINES:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from knotgp import KernelParams, cov_matrix, kernel_eval, kernel_grad_knot, kernel_grad_params
-from knotgp.kernels import _exponent_rows, _unit_kernel
+from knotgp.kernels import _exponent_columns, _exponent_rows, _unit_kernel
 
 from oracles import central_difference
 
@@ -103,7 +103,7 @@ class TestCovMatrix:
         mat = cov_matrix(a, b, p)
         # the exponent path of sparse prediction
         unit = _unit_kernel(_exponent_rows(a, p.lengthscale),
-                            _exponent_rows(b, p.lengthscale, test=True))
+                            _exponent_columns(b, p.lengthscale))
         for i in range(5):
             for j in range(4):
                 expected = kernel_eval(a[i], b[j], p)

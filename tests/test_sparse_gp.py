@@ -9,8 +9,8 @@ from knotgp import (Approximation, KernelParams, KnotSet, SparseGPModel, elbo,
                     log_marginal_likelihood, predict_full, predict_sparse,
                     prior_variance_report, psi_cross, psi_diag)
 from knotgp.adadelta import OptimizerConfig
-from knotgp.common import NumericalError
-from knotgp.kernels import _exponent_rows, _unit_kernel
+from knotgp.common import NumericalError, tri_solve
+from knotgp.kernels import _exponent_columns, _unit_kernel
 from knotgp.selection import kmeans_init, simultaneous_optimize
 
 from oracles import (central_difference, dense_elbo, dense_fic_log_marginal,
@@ -56,6 +56,23 @@ class TestKnotSet:
         assert not KnotSet(b).has_duplicates
         for row, hit in zip(a, hits):
             assert KnotSet(np.vstack([b, row])).has_duplicates is bool(hit)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("levels", [1, 21])
+    def test_coincidence_mask_with_a_coarse_first_coordinate(self, d, levels):
+        # a constant first column, or one of 21 levels like Airfoil's
+        # frequency, does not separate the rows; the mask must not change
+        rng = np.random.default_rng(10 * d + levels)
+        grid = np.linspace(0.0, 1.0, levels)
+        b = rng.standard_normal((30, d))
+        b[:, 0] = rng.choice(grid, 30)
+        a = np.vstack([rng.standard_normal((40, d)), b[::3],
+                       b[1::3] + sparse_gp.COINCIDENCE_TOL * rng.uniform(-0.5, 0.5, (10, d)),
+                       b[2::3] + 1e-6])
+        a[:, 0] = np.concatenate([rng.choice(grid, 40), a[40:, 0]])
+        broadcast = (np.abs(a[:, None, :] - b[None, :, :]) <= sparse_gp.COINCIDENCE_TOL).all(axis=2)
+        assert broadcast.any() and not broadcast.all()
+        np.testing.assert_array_equal(sparse_gp._coincident(a, b), broadcast)
 
     def test_dic_and_fitc_cannot_fit(self):
         x, y = np.zeros((3, 1)), np.zeros(3)
@@ -637,10 +654,10 @@ class TestPredictSparse:
         model = fit_sparse(approx, x, y, p, knots)
         assert not model.diagnostics
         xt = np.vstack([knots, x])
-        knot_rows, _ = model._predictor
-        test_rows = _exponent_rows(xt, p.lengthscale, test=True)
-        assert (knot_rows @ test_rows.T).max() > 0.0     # round-off the clamp removes
-        kmat = p.signal_variance * _unit_kernel(knot_rows, test_rows)
+        knot_rows, _, _ = model._predictor
+        test_columns = _exponent_columns(xt, p.lengthscale)
+        assert (knot_rows @ test_columns).max() > 0.0    # round-off the clamp removes
+        kmat = p.signal_variance * _unit_kernel(knot_rows, test_columns)
         assert kmat.max() == p.signal_variance
         assert kmat.min() < 1e-3 * p.signal_variance     # the knots are apart
         pred = model.predict(xt)
@@ -685,9 +702,9 @@ class TestPredictSparse:
 
 class TestBInverseCache:
     """``B~^{-1}`` is formed lazily, once per model, and shared read-only by
-    the gradient and prediction; the prediction operands, the knot block and
-    the factor ``s2 F``, are formed lazily, once per model, by prediction
-    alone."""
+    the gradient and prediction; the prediction operands, the knot block, the
+    mean weights and the triangular factor, are formed lazily, once per
+    model, by prediction alone."""
 
     @staticmethod
     def _counted(monkeypatch, name="_b_inverse"):
@@ -767,22 +784,82 @@ class TestBInverseCache:
         model = SparseGPModel(Approximation.DTC, x, y, p, knots)
         operands = model._predictor
         assert operands is model._predictor
-        knot_rows, factor = operands
-        assert knot_rows.shape == (4, 4) and factor.shape == (5, 4)
+        knot_rows, weights, factor = operands
+        assert knot_rows.shape == (4, 4) and weights.shape == (4,) and factor.shape == (4, 4)
+        assert factor.flags.f_contiguous
         for operand in operands:
             assert not operand.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                operand[0, 0] = 0.0
+                operand[(0,) * operand.ndim] = 0.0
 
     def test_knot_block_holds_the_scaled_knots(self):
         x, y, knots, p = random_instance(np.random.default_rng(55), 12, 4, 2)
         model = SparseGPModel(Approximation.FIC, x, y, p, knots)
-        knot_rows, _ = model._predictor
+        knot_rows, _, _ = model._predictor
         scaled = knots / p.lengthscale
         np.testing.assert_array_equal(knot_rows[:, :2], scaled)
         np.testing.assert_allclose(knot_rows[:, 2], -0.5 * (scaled ** 2).sum(axis=1),
                                    rtol=1e-15)
         np.testing.assert_array_equal(knot_rows[:, 3], 1.0)
+
+
+def _eigen_factor(model):
+    """The (K + 1, K) factor ``s2 [a^T; P]`` of the eigen form that the
+    triangular factor replaced: ``a = L^{-T} c`` and
+    ``P = diag(sqrt(max(1 - mu, 0))) W^T L^{-1}``."""
+    mu, w = np.linalg.eigh(model._b_inverse)
+    rhs = np.column_stack([model._c, w * np.sqrt(np.maximum(1.0 - mu, 0.0))])
+    return model.params.signal_variance * tri_solve(model._luu, rhs, trans=True).T
+
+
+class TestTriangularFactor:
+    """The prediction's triangular factor ``R`` against the eigen form
+    ``s2 P`` it is taken from, with one knot, with more knots than training
+    rows (``P`` rank-deficient) and with 80 knots."""
+
+    @staticmethod
+    def _model(approx, n, k, d, seed):
+        rng = np.random.default_rng(seed)
+        x, y, knots, p = random_instance(rng, n, k, d)
+        model = fit_sparse(approx, x, y, p, knots, mean_constant=0.2)
+        assert not model.diagnostics
+        return model, 1.5 * rng.standard_normal((300, d))
+
+    CASES = {"one knot": (10, 1, 2, 56), "more knots than rows": (6, 10, 2, 57),
+             "80 knots": (200, 80, 5, 58)}
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_upper_triangular_and_squares_to_the_eigen_form(self, approx, case):
+        model, _ = self._model(approx, *self.CASES[case])
+        _, weights, factor = model._predictor
+        eigen = _eigen_factor(model)
+        assert factor.shape == (model.n_knots, model.n_knots)
+        assert np.all(np.tril(factor, -1) == 0.0)
+        np.testing.assert_array_equal(weights, eigen[0])
+        gram = eigen[1:].T @ eigen[1:]
+        np.testing.assert_allclose(factor.T @ factor, gram, rtol=0.0,
+                                   atol=1e-13 * np.abs(gram).max())
+        if case == "more knots than rows":
+            # 1 - mu is round-off off the N directions of V's rows, and P's
+            # singular values there are its square root, about 1e-8
+            rank = np.linalg.matrix_rank(eigen[1:], tol=1e-6 * np.linalg.norm(eigen[1:], 2))
+            assert rank == model.n_train
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_predict_matches_the_eigen_product(self, approx, case):
+        model, xt = self._model(approx, *self.CASES[case])
+        p = model.params
+        xt = np.vstack([xt, model.knots.locations, model.x])
+        knot_rows, _, _ = model._predictor
+        z = _eigen_factor(model) @ _unit_kernel(knot_rows, _exponent_columns(xt, p.lengthscale))
+        prior = p.signal_variance + p.latent_jitter
+        var = np.maximum(prior - np.einsum("kj,kj->j", z[1:], z[1:]), 0.0)
+        pred = model.predict(xt)
+        tol = 1e-13 * prior
+        assert np.max(np.abs(pred.latent_mean - (model.mean_constant + z[0]))) <= tol
+        assert np.max(np.abs(pred.latent_variance - var)) <= tol
 
 
 class TestPriorVarianceReport:
