@@ -195,7 +195,9 @@ class PredictiveDistribution:
     """Marginal predictive moments, one entry per test point.
 
     ``latent_variance`` is the variance of the noise-free function value;
-    ``noisy_variance`` adds the observation noise variance.
+    ``noisy_variance`` adds the observation noise variance. The constructor
+    validates its arguments; the predictors, whose moments are valid by
+    construction, build theirs with :meth:`_unchecked`.
     """
 
     latent_mean: np.ndarray
@@ -209,8 +211,20 @@ class PredictiveDistribution:
         n = self.latent_mean.size
         if self.latent_variance.size != n or self.noisy_variance.size != n:
             raise ValueError("predictive moment vectors must have equal length")
-        if np.any(self.latent_variance < 0) or np.any(self.noisy_variance < 0):
+        # written so that a NaN variance fails too
+        if not ((self.latent_variance >= 0.0).all() and (self.noisy_variance >= 0.0).all()):
             raise ValueError("predictive variances must be nonnegative")
+
+    @classmethod
+    def _unchecked(cls, latent_mean: np.ndarray, latent_variance: np.ndarray,
+                   noisy_variance: np.ndarray) -> "PredictiveDistribution":
+        """A distribution over float vectors of equal length whose variances
+        are known nonnegative."""
+        pred = object.__new__(cls)
+        pred.latent_mean = latent_mean
+        pred.latent_variance = latent_variance
+        pred.noisy_variance = noisy_variance
+        return pred
 
     def __len__(self) -> int:
         return self.latent_mean.size
@@ -218,18 +232,23 @@ class PredictiveDistribution:
 
 def _clamped_prediction(mean: np.ndarray, latent_variance: np.ndarray,
                         noise_variance: float, diagnostics: dict) -> PredictiveDistribution:
-    """Predictive moments with negative round-off latent variances clamped at
-    zero; the number clamped is added to
+    """Predictive moments from the float vectors ``mean`` and
+    ``latent_variance`` of equal length, with negative round-off latent
+    variances clamped at zero; the number clamped is added to
     ``diagnostics['negative_variance_clamps']``. A NaN variance, such as
-    ``inf - inf`` from a finite but extreme test row, fails the same test
-    and raises :class:`NumericalError`."""
-    clamps = int(np.sum(~(latent_variance >= 0.0)))
-    if clamps:
+    ``inf - inf`` from a finite but extreme test row, raises
+    :class:`NumericalError`.
+
+    One minimum decides: when it is nonnegative, which is the usual case,
+    nothing is counted or copied. Either way the result is built unchecked,
+    because its variances are nonnegative by then."""
+    if not latent_variance.min() >= 0.0:
         if np.isnan(latent_variance).any():
             raise NumericalError("predictive variance is NaN: a test input overflows "
                                  "the kernel's float arithmetic")
         diagnostics["negative_variance_clamps"] = (
-            diagnostics.get("negative_variance_clamps", 0) + clamps
+            diagnostics.get("negative_variance_clamps", 0) + int(np.sum(latent_variance < 0.0))
         )
         latent_variance = np.maximum(latent_variance, 0.0)
-    return PredictiveDistribution(mean, latent_variance, latent_variance + noise_variance)
+    return PredictiveDistribution._unchecked(mean, latent_variance,
+                                             latent_variance + noise_variance)

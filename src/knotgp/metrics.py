@@ -32,7 +32,7 @@ def mnlp(predictive: PredictiveDistribution, test_targets) -> float:
     if len(predictive) != y.size:
         raise ValueError("predictive distribution and targets must have equal length")
     var = predictive.noisy_variance
-    if np.any(var <= 0.0):
+    if not (var > 0.0).all():                  # a NaN variance fails too
         raise ValueError("noisy predictive variance must be strictly positive")
     nll = 0.5 * (LOG_2PI + np.log(var) + (y - predictive.latent_mean) ** 2 / var)
     return float(np.median(nll))
@@ -60,7 +60,7 @@ def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
 
 def _gaussian_kl(mean1, var1, mean2, var2):
     """:func:`gaussian_kl`, elementwise over arrays of moments."""
-    if np.any(var1 <= 0.0) or np.any(var2 <= 0.0):
+    if not (np.all(var1 > 0.0) and np.all(var2 > 0.0)):
         raise ValueError("variances must be strictly positive")
     return 0.5 * np.log(var2 / var1) + (var1 + (mean1 - mean2) ** 2) / (2.0 * var2) - 0.5
 

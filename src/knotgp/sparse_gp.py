@@ -75,8 +75,10 @@ and the test points' columns ``[t / ell; 1; -|t / ell|^2 / 2]``, one product
 gives the exponent ``-|u - t|^2 / (2 ell^2)``. A batch of test points thus
 takes that product, exponentiated in place, a product with the mean
 weights, and one in-place triangular product, ``R k``, and no triangular
-solve. The fit keeps its squared distances, which the lengthscale gradient
-reads and the ascent updates in place.
+solve. Its rows are checked once, off the ``-|t / ell|^2 / 2`` row of their
+block, and its moments are returned without a second check. The fit keeps
+its squared distances, which the lengthscale gradient reads and the ascent
+updates in place.
 
 ``B~^{-1}`` and the prediction operands (the knots' rows, ``s2 a`` and
 ``s2 R``) are cached lazily and read-only, once per model: the gradient or
@@ -574,22 +576,37 @@ class SparseGPModel:
             mean_j = m + v_j^T B~^{-1} V (r / lam)
             var_j  = (s2 + jitter) - v_j^T (I - B~^{-1}) v_j
 
-        FIC marginals coincide with FITC's. Each call validates the test rows
-        once, forms no distance matrix and makes no triangular solve. With
-        the mean weights plus the triangular factor cached in
-        :attr:`_predictor`, one product of the knot block and the test rows'
-        C-contiguous (d + 2, m) block gives the kernel's exponent,
-        exponentiated in place in one K x m buffer ``k``. The weights give
-        ``mean_j = m + s2 a^T k_j``; then one in-place triangular product
-        (BLAS ``dtrmm``) turns ``k``, which the mean no longer needs, into
-        ``z = R k``, and ``var_j = (s2 + jitter) - sum_i z_ij^2``. A test row
-        extreme enough to make its variance NaN raises
-        :class:`NumericalError`.
+        FIC marginals coincide with FITC's. Each call forms no distance
+        matrix and makes no triangular solve. With the mean weights plus the
+        triangular factor cached in :attr:`_predictor`, one product of the
+        knot block and the test rows' C-contiguous (d + 2, m) block gives the
+        kernel's exponent, exponentiated in place in one K x m buffer ``k``.
+        The weights give ``mean_j = m + s2 a^T k_j``; then one in-place
+        triangular product (BLAS ``dtrmm``) turns ``k``, which the mean no
+        longer needs, into ``z = R k``, and ``var_j = (s2 + jitter) -
+        sum_i z_ij^2``.
+
+        The test rows are checked once, off that block: an (m, d) float
+        array whose ``-|t / ell|^2 / 2`` row is finite has finite entries, and
+        goes on unchecked. Only another shape, or a NaN or infinite entry in
+        that row, goes through :func:`common._test_inputs`, which raises the
+        usual ``ValueError`` for an input that is not finite or not (m, d),
+        turns 1-d input into a column and lets finite rows whose square
+        overflows go on. The result is built unchecked by
+        :func:`common._clamped_prediction`; a test row extreme enough to make
+        its variance NaN raises :class:`NumericalError`.
         """
-        xt = _test_inputs(test_inputs, self.x)
         params = self.params
+        xt = np.asarray(test_inputs, dtype=float)
+        if xt.ndim != 2 or xt.shape[1] != self.x.shape[1] or xt.shape[0] < 1:
+            xt = _test_inputs(test_inputs, self.x)
+        test_columns = _exponent_columns(xt, params.lengthscale)
+        # a NaN or infinite input makes its -|t / ell|^2 / 2 NaN or -inf, and
+        # raises here; a finite one whose square overflows goes on
+        if not test_columns[-1].min() > -np.inf:
+            _test_inputs(xt, self.x)
         knot_rows, weights, factor = self._predictor
-        kmat = _unit_kernel(knot_rows, _exponent_columns(xt, params.lengthscale))
+        kmat = _unit_kernel(knot_rows, test_columns)
         mean = self.mean_constant + weights @ kmat
         # a C-ordered K x m array is a Fortran-ordered m x K one to BLAS, so
         # k^T R^T = (R k)^T overwrites it in place

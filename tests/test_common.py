@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -14,7 +15,9 @@ import scipy.linalg.lapack
 import scipy.special
 
 from knotgp import Approximation, KernelParams, common, fit_full, fit_sparse, predict_full
-from knotgp.common import NumericalError, chol_lower
+from knotgp.common import (NumericalError, PredictiveDistribution, _test_inputs, chol_lower,
+                           tri_solve)
+from knotgp.kernels import cov_matrix
 
 
 def _spd(rng, k):
@@ -170,6 +173,53 @@ def test_predictors_share_the_test_width_check(predictor):
         predict(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="test inputs contains non-finite entries"):
         predict([[0.0, np.nan]])
+
+
+@pytest.mark.parametrize("predictor", ["sparse", "full"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_raise_without_warnings(predictor, bad):
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((10, 2)), rng.standard_normal(10)
+    params = KernelParams(1.0, 1.0, 0.1)
+    if predictor == "sparse":
+        predict = fit_sparse(Approximation.FIC, x, y, params, x[:3]).predict
+    else:
+        predict = partial(predict_full, fit_full(x, y, params))
+    xt = rng.standard_normal((1100, 2))
+    xt[700, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (xt, xt[700:701], xt.tolist(), [[bad, bad]], xt[:, ::-1]):
+            with pytest.raises(ValueError, match="^test inputs contains non-finite entries$"):
+                predict(rows)
+
+
+def test_predict_full_bits_of_the_checked_path():
+    """``predict_full`` builds its result unchecked, with the bits of the
+    count, the clamp and the validating constructor."""
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0.0, 1.0, (40, 2))
+    y = np.sin(4.0 * x[:, 0])
+    params = KernelParams(1.3, 0.3, 0.01)
+    xt = np.vstack([rng.uniform(-1.0, 2.0, (300, 2)), x])
+    for halved in (False, True):
+        model = fit_full(x, y, params)
+        if halved:
+            model = replace(model, chol=0.5 * model.chol)
+        pred = predict_full(model, xt)
+        cross = cov_matrix(model.train_inputs, _test_inputs(xt, x), params)
+        mean = model.mean_constant + cross.T @ model.alpha
+        half = tri_solve(model.chol, cross)
+        var = params.signal_variance + params.latent_jitter - np.einsum("nj,nj->j", half, half)
+        clamps = int(np.sum(~(var >= 0.0)))
+        var = np.maximum(var, 0.0)
+        expected = PredictiveDistribution(mean, var, var + params.noise_variance)
+        for name in ("latent_mean", "latent_variance", "noisy_variance"):
+            assert getattr(pred, name).tobytes() == getattr(expected, name).tobytes()
+        assert pred.noisy_variance.tobytes() == \
+            (pred.latent_variance + params.noise_variance).tobytes()
+        assert model.diagnostics.get("negative_variance_clamps", 0) == clamps
+        assert (clamps > 0) == halved
 
 
 def _same_bits(a, b) -> bool:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from knotgp import KernelParams, cov_matrix, kernel_eval, kernel_grad_knot, kernel_grad_params
-from knotgp.kernels import _exponent_columns, _exponent_rows, _unit_kernel
+from knotgp.kernels import (_exponent_columns, _exponent_rows, _row_norms,
+                            _squared_distances, _unit_kernel)
 
 from oracles import central_difference
 
@@ -122,6 +123,25 @@ class TestCovMatrix:
         p = KernelParams(1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             cov_matrix(np.zeros((3, 2)), np.zeros((3, 3)), p)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("into_buffer", [False, True])
+    def test_clamp_gives_the_bits_of_np_maximum(self, into_buffer):
+        # rows shared by both sides (knots on training rows) leave round-off
+        # of either sign where the distance is zero
+        rng = np.random.default_rng(6)
+        b = 3.0 * rng.standard_normal((300, 5))
+        a = np.vstack([b[:40], 3.0 * rng.standard_normal((40, 5))])
+        expansion = -2.0 * (a @ b.T) + _row_norms(a)[:, None] + _row_norms(b)[None, :]
+        assert (expansion < 0.0).sum() > 0
+        expected = np.maximum(expansion, 0.0)
+        out = np.full((90, 300), np.nan)[5:85] if into_buffer else None
+        d2 = _squared_distances(a, b, _row_norms(b), out=out)
+        assert d2.tobytes() == expected.tobytes()
+        assert not np.signbit(d2).any()
+        if into_buffer:
+            assert d2 is out
 
 
 class TestGradients:

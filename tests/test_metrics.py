@@ -54,6 +54,27 @@ class TestMnlp:
         with pytest.raises(ValueError):
             mnlp(pred, [0.0])
 
+    def test_nan_variance_rejected(self):
+        # built unchecked, as the predictors build theirs
+        pred = PredictiveDistribution._unchecked(np.zeros(2), np.ones(2),
+                                                 np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            mnlp(pred, [0.0, 0.0])
+
+
+class TestPredictiveDistribution:
+    @pytest.mark.parametrize("field", ["latent", "noisy"])
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan])
+    def test_negative_or_nan_variance_rejected(self, field, bad):
+        variances = {"latent": [1.0, 1.0], "noisy": [1.0, 1.0]}
+        variances[field] = [1.0, bad]
+        with pytest.raises(ValueError, match="^predictive variances must be nonnegative$"):
+            PredictiveDistribution([0.0, 0.0], variances["latent"], variances["noisy"])
+
+    def test_zero_variances_accepted(self):
+        pred = PredictiveDistribution([0.5], [0.0], [-0.0])
+        assert len(pred) == 1 and pred.latent_variance.dtype == float
+
 
 class TestSrmse:
     def test_perfect_predictions(self):
@@ -128,6 +149,9 @@ class TestGaussianKl:
             gaussian_kl(0.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             gaussian_kl(0.0, 1.0, 0.0, -1.0)
+        for var1, var2 in ((np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="strictly positive"):
+                gaussian_kl(0.0, var1, 0.0, var2)
 
 
 class TestAukl:

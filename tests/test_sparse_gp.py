@@ -9,7 +9,9 @@ from knotgp import (Approximation, KernelParams, KnotSet, SparseGPModel, elbo,
                     log_marginal_likelihood, predict_full, predict_sparse,
                     prior_variance_report, psi_cross, psi_diag)
 from knotgp.adadelta import OptimizerConfig
-from knotgp.common import NumericalError, tri_solve
+from knotgp import common
+from knotgp.common import (NumericalError, PredictiveDistribution, _test_inputs, dtrmm,
+                           tri_solve)
 from knotgp.kernels import _exponent_columns, _unit_kernel
 from knotgp.selection import kmeans_init, simultaneous_optimize
 
@@ -698,6 +700,94 @@ class TestPredictSparse:
         for name in ("latent_mean", "latent_variance", "noisy_variance"):
             joined = np.concatenate([getattr(first, name), getattr(second, name)])
             assert joined.tobytes() == getattr(whole, name).tobytes()
+
+
+def _checked_predict(model, test_inputs):
+    """The moments of ``model.predict`` along the checked path, and the count
+    of clamped variances: the test rows through ``common._test_inputs``, the
+    variances through a count, a clamp and the validating constructor."""
+    xt = _test_inputs(test_inputs, model.x)
+    p = model.params
+    knot_rows, weights, factor = model._predictor
+    kmat = _unit_kernel(knot_rows, _exponent_columns(xt, p.lengthscale))
+    mean = model.mean_constant + weights @ kmat
+    quad = dtrmm(1.0, factor, kmat.T, side=1, lower=0, trans_a=1, overwrite_b=1).T
+    var = p.signal_variance + p.latent_jitter - np.einsum("kj,kj->j", quad, quad)
+    clamps = int(np.sum(~(var >= 0.0)))
+    var = np.maximum(var, 0.0)
+    return PredictiveDistribution(mean, var, var + p.noise_variance), clamps
+
+
+def _same_moments(a, b) -> bool:
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("latent_mean", "latent_variance", "noisy_variance"))
+
+
+class TestPredictChecksOnce:
+    """``predict`` checks its test rows once, off the test block it builds,
+    and builds its result unchecked, with the bits of the checked path."""
+
+    @pytest.mark.parametrize("approx", [Approximation.DTC, Approximation.FIC])
+    @pytest.mark.parametrize("k", [1, 12, 80])
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_bits_of_the_checked_path(self, approx, k, clamped):
+        rng = np.random.default_rng(70 + k)
+        x, y, knots, p = random_instance(rng, 100, k, 3)
+        model = fit_sparse(approx, x, y, p, knots)
+        if clamped:
+            # a halved factor overstates what the data explain, so the
+            # variances near the knots go negative
+            model._luu = 0.5 * model._luu
+        xt = np.vstack([1.5 * rng.standard_normal((1100, 3)), knots, x[:20]])
+        pred = model.predict(xt)
+        expected, clamps = _checked_predict(model, xt)
+        assert _same_moments(pred, expected)
+        assert pred.noisy_variance.tobytes() == \
+            (pred.latent_variance + p.noise_variance).tobytes()
+        assert model.diagnostics.get("negative_variance_clamps", 0) == clamps
+        assert (clamps > 0) == clamped
+
+    def test_input_forms(self):
+        rng = np.random.default_rng(75)
+        x, y, knots, p = random_instance(rng, 30, 6, 3)
+        model = fit_sparse(Approximation.DTC, x, y, p, knots)
+        xt = 1.5 * rng.standard_normal((50, 3))
+        expected, _ = _checked_predict(model, xt)
+        wide = np.zeros((50, 7))
+        wide[:, 1::2] = xt
+        read_only = xt.copy()
+        read_only.flags.writeable = False
+        for form in (xt.tolist(), wide[:, 1::2], np.asfortranarray(xt), read_only):
+            before = np.array(form)
+            assert _same_moments(model.predict(form), expected)
+            assert np.asarray(form).tobytes() == before.tobytes()
+        assert not read_only.flags.writeable
+        # one-dimensional input is a column of scalars for a one-input model
+        column = fit_sparse(Approximation.DTC, x[:, :1], y, p, knots[:, :1])
+        expected, _ = _checked_predict(column, xt[:, :1])
+        assert _same_moments(column.predict(xt[:, 0]), expected)
+
+    def test_valid_rows_are_not_checked_again(self, monkeypatch):
+        checks = []
+        original = common.as_input_matrix
+
+        def counted(*args, **kwargs):
+            checks.append(args)
+            return original(*args, **kwargs)
+
+        def validated(self):
+            raise AssertionError("the result was validated")
+
+        x, y, knots, p = random_instance(np.random.default_rng(76), 12, 4, 2)
+        model = fit_sparse(Approximation.FIC, x, y, p, knots)
+        xt = np.random.default_rng(77).standard_normal((9, 2))
+        monkeypatch.setattr(common, "as_input_matrix", counted)
+        monkeypatch.setattr(PredictiveDistribution, "__post_init__", validated)
+        model.predict(xt)
+        assert checks == []
+        with pytest.raises(ValueError, match="^test inputs contains non-finite entries$"):
+            model.predict(np.where(xt > 1.0, np.inf, xt))
+        assert len(checks) == 1
 
 
 class TestBInverseCache:
