@@ -117,38 +117,83 @@ def _test_inputs(test_inputs, x: np.ndarray) -> np.ndarray:
     return xt
 
 
-def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | None = None,
-               label: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of a symmetric PSD matrix.
+SYM_BLOCK = 128
+"""Rows per block in which :func:`chol_lower` symmetrizes a larger matrix."""
 
-    The input is left unmodified and symmetrized into one new array; a
-    non-finite entry raises ``ValueError``. The factor comes from LAPACK
-    ``dpotrf`` called directly, the same routine ``scipy.linalg.cholesky``
-    wraps, with its upper triangle zeroed. It is bound from scipy's
-    ``_flapack`` extension without importing ``scipy.linalg``, or from
-    ``scipy.linalg.lapack`` where that file is absent or does not load (see
-    the module docstring). ``dpotrf`` factors the symmetrized array in place:
-    it is exactly symmetric, so its transpose is the same matrix in Fortran
-    order and needs no second copy. If ``escalations`` > 0
-    and the factorization fails, the symmetrized array is formed again and a
-    ridge starting at 1e-12 times the mean diagonal is added, grown a
-    hundredfold per retry; each failed attempt bumps the
-    ``near_singular_factorizations`` counter in ``diagnostics``. Raises
-    :class:`NumericalError`, carrying the ridge of the last attempt, once
-    retries are exhausted.
+
+def _symmetrized(matrix: np.ndarray, label: str, overwrite: bool = False) -> np.ndarray:
+    """``(matrix + matrix^T) / 2`` for :func:`chol_lower`, whose ``dpotrf``
+    reads only the upper triangle of the C-ordered result; a non-finite entry
+    raises ``ValueError`` naming ``label``.
+
+    A matrix of at most :data:`SYM_BLOCK` rows is symmetrized whole into one
+    new array. A larger one has only the upper triangle written, in row
+    blocks, into one new array or with ``overwrite`` into ``matrix`` itself:
+    each block reads only rows not written yet. A block's rows right of its
+    diagonal block add the transpose of the block column below them, which
+    shares no memory with them, and the diagonal block is added to its
+    transpose in a small new array. Below the diagonal blocks the result
+    keeps what its buffer held.
     """
-    def symmetrized():
+    n = len(matrix)
+    if n <= SYM_BLOCK:
         sym = matrix + matrix.T
         sym *= 0.5
+        if not np.isfinite(sym).all():
+            raise ValueError(f"{label} contains non-finite entries")
         return sym
+    sym = matrix if overwrite else np.empty(matrix.shape)
+    for r0 in range(0, n, SYM_BLOCK):
+        r1 = r0 + SYM_BLOCK
+        block = matrix[r0:r1, r0:r1]
+        diagonal = block + block.T
+        np.add(matrix[r0:r1, r1:], matrix[r1:, r0:r1].T, out=sym[r0:r1, r1:])
+        sym[r0:r1, r0:r1] = diagonal
+        rows = sym[r0:r1, r0:]
+        rows *= 0.5
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{label} contains non-finite entries")
+    return sym
 
-    sym = symmetrized()
-    if not np.isfinite(sym).all():
-        raise ValueError(f"{label} contains non-finite entries")
+
+def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | None = None,
+               label: str = "matrix", _overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric PSD matrix.
+
+    The factor comes from LAPACK ``dpotrf`` called directly, the same
+    routine ``scipy.linalg.cholesky`` wraps, with its upper triangle zeroed.
+    It is bound from scipy's ``_flapack`` extension without importing
+    ``scipy.linalg``, or from ``scipy.linalg.lapack`` where that file is
+    absent or does not load (see the module docstring).
+
+    The input is symmetrized as ``(matrix + matrix^T) / 2`` and a non-finite
+    entry raises ``ValueError``. ``dpotrf`` gets the transpose of the
+    C-ordered symmetrized array, which is that array in Fortran order, and
+    factors it in place, reading only its upper triangle. A matrix of at
+    most :data:`SYM_BLOCK` rows is symmetrized whole into one new array. A
+    larger one has only that upper triangle symmetrized, in row blocks
+    (:func:`_symmetrized`), which reads the transpose block by block instead
+    of at a stride of one row; it goes into one new array, or with the
+    private ``_overwrite`` into the input's own buffer, so that a
+    C-contiguous input becomes the factor and is lost. Either way the factor
+    has the same bits, and the returned array is the one to use.
+
+    If ``escalations`` > 0 and the factorization fails, the symmetrized
+    array is formed again and a ridge starting at 1e-12 times the mean
+    diagonal is added, grown a hundredfold per retry; each failed attempt
+    bumps the ``near_singular_factorizations`` counter in ``diagnostics``.
+    Raises :class:`NumericalError`, carrying the ridge of the last attempt,
+    once retries are exhausted. An overwritten input cannot be formed again,
+    so ``_overwrite`` requires ``escalations=0``.
+    """
+    if _overwrite and escalations:
+        raise ValueError("chol_lower cannot retry an overwritten matrix: escalations must be 0")
+
+    sym = _symmetrized(matrix, label, _overwrite)
     ridge = 0.0
     for attempt in range(escalations + 1):
         if attempt:
-            sym = symmetrized()                  # the failed attempt overwrote it
+            sym = _symmetrized(matrix, label)    # the failed attempt overwrote it
             if attempt == 1:
                 scale = float(sym.diagonal().mean())
                 if not np.isfinite(scale) or scale <= 0.0:
@@ -156,6 +201,8 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
                 ridge = 1e-12 * scale
             else:
                 ridge *= 100.0
+            # a blocked array holds np.empty's bytes below its diagonal
+            # blocks; dpotrf never reads them and clean=1 zeroes them
             sym += ridge * np.eye(sym.shape[0])
         factor, info = dpotrf(sym.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:

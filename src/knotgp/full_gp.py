@@ -4,19 +4,28 @@ Serves two purposes: it is a usable model in its own right, and it is the
 reference against which the sparse approximations are checked (objective
 lower bounds, predictive divergences). A fitted model holds no N x N matrix
 but the Cholesky factor of ``Sigma_xx + (tau2 + jitter) I``, through which
-all solves go. The gradient of the log marginal likelihood recomputes the
-kernel matrix and forms the full inverse from the factor with one LAPACK
-``potri``, whose lower triangle is mirrored through a cached mask.
+all solves go.
+
+A fit holds one N x N array at a time: the squared distances become the
+kernel matrix in place, the noise goes on its diagonal, and
+:func:`~knotgp.common.chol_lower` symmetrizes and factors it in that same
+buffer, which the model keeps as its factor (a matrix of at most
+``SYM_BLOCK`` rows is symmetrized into one small new array). The gradient
+of the log marginal likelihood recomputes the kernel matrix from the
+distances and turns a copy of the factor into the full inverse with one
+LAPACK ``potri``; the inverse's lower triangle is mirrored, and the weight
+matrix ``alpha alpha^T - K^{-1}`` formed, in that copy, in row blocks. So a
+gradient evaluation holds three: distances, kernel and that work buffer.
 
 The hyperparameter search behind the BO surrogate and the FullGP roster
 entry runs BFGS by default (the surrogate asks for ADADELTA) and evaluates
 in a lean path: the inputs are validated and their squared distances formed
-once, and each evaluation is one kernel matrix from ``kernels._kernel``, the
-noise diagonal added in place, one factorization, two triangular solves and
-one ``potri``, with no model object built. It shares :func:`_factorize`
-with :func:`fit_full`, and :func:`_log_density_and_grad` with
-:func:`log_marginal_likelihood`, so its values are those of the public pair
-to the bit.
+once, and each evaluation is one kernel matrix from ``kernels._kernel``, a
+copy of it factored in place with the noise on its diagonal, two
+triangular solves and one ``potri`` in the factor's buffer, with no model
+object built. It shares :func:`_factorize` with :func:`fit_full`, and
+:func:`_log_density_and_grad` with :func:`log_marginal_likelihood`, so its
+values are those of the public pair to the bit.
 """
 
 from __future__ import annotations
@@ -28,7 +37,8 @@ import numpy as np
 
 from .adadelta import MaximizeResult, OptimizerConfig, maximize
 from .common import (LOG_2PI, NumericalError, PredictiveDistribution, _clamped_prediction,
-                     _test_inputs, _training_data, chol_lower, dpotri, tri_solve)
+                     SYM_BLOCK, _test_inputs, _training_data, chol_lower, dpotri,
+                     tri_solve)
 from .kernels import KernelParams, _kernel, _row_norms, _squared_distances, squared_distances
 
 
@@ -55,11 +65,16 @@ class FullGPModel:
 
 def _factorize(kmat: np.ndarray, resid: np.ndarray, params: KernelParams):
     """Cholesky factor of the noisy training covariance and ``alpha``, from the
-    kernel matrix and the centered targets, which must already be validated."""
-    noisy = kmat.copy()
-    noisy.reshape(-1)[::noisy.shape[0] + 1] += params.noise_variance + params.latent_jitter
+    kernel matrix and the centered targets, which must already be validated.
+
+    Takes ownership of ``kmat``, a C-contiguous float array: the noise goes
+    on its diagonal in place, and above ``SYM_BLOCK`` rows it is symmetrized
+    and factored in place too, so the factor is that buffer; at or below it
+    the factor is one small new array.
+    """
+    kmat.reshape(-1)[::kmat.shape[0] + 1] += params.noise_variance + params.latent_jitter
     try:
-        factor = chol_lower(noisy, escalations=0, label="training covariance")
+        factor = chol_lower(kmat, escalations=0, label="training covariance", _overwrite=True)
     except NumericalError as err:
         raise NumericalError(
             "training covariance is not positive definite",
@@ -72,8 +87,8 @@ def _factorize(kmat: np.ndarray, resid: np.ndarray, params: KernelParams):
 def fit_full(x, y, params: KernelParams, mean_constant: float = 0.0) -> FullGPModel:
     """Fit an exact GP by factorizing the noisy training covariance."""
     x, y = _training_data(x, y)
-    kmat = _kernel(squared_distances(x, x), params)
-    factor, alpha = _factorize(kmat, y - mean_constant, params)
+    d2 = squared_distances(x, x)
+    factor, alpha = _factorize(_kernel(d2, params, out=d2), y - mean_constant, params)
     return FullGPModel(params, x, y, float(mean_constant), factor, alpha)
 
 
@@ -97,7 +112,7 @@ def fit_hyperparameters(x, y, init_params: KernelParams,
     def objective(vec):
         params = init_params.with_log_vector(vec)
         kmat = _kernel(d2, params)
-        factor, alpha = _factorize(kmat, y, params)
+        factor, alpha = _factorize(kmat.copy(), y, params)     # the gradient reads kmat
         return _log_density_and_grad(factor, alpha, y, kmat, d2, params, True)
 
     result = maximize(objective, init_params.log_vector(), optimizer_config, method=method)
@@ -109,19 +124,25 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
 
     With ``with_grad=True`` also returns the gradient with respect to
     (log s2, log ell, log tau2), recomputing the kernel matrix from the
-    training inputs. The jitter is tied to the signal variance (fixed ratio),
-    so its contribution rides along with the log-s2 direction.
+    training inputs and inverting a copy of ``model.chol``. The jitter is tied
+    to the signal variance (fixed ratio), so its contribution rides along with
+    the log-s2 direction.
     """
-    d2 = squared_distances(model.train_inputs, model.train_inputs) if with_grad else None
-    kmat = None if d2 is None else _kernel(d2, model.params)
-    return _log_density_and_grad(model.chol, model.alpha, model.train_targets - model.mean_constant,
-                                 kmat, d2, model.params, with_grad)
+    resid = model.train_targets - model.mean_constant
+    if not with_grad:
+        return _log_density_and_grad(model.chol, model.alpha, resid, None, None, model.params,
+                                     False)
+    d2 = squared_distances(model.train_inputs, model.train_inputs)
+    return _log_density_and_grad(model.chol.copy(order="K"), model.alpha, resid,
+                                 _kernel(d2, model.params), d2, model.params, True)
 
 
 @functools.lru_cache(maxsize=8)
-def _strict_upper(n: int) -> np.ndarray:
-    """Read-only mask of the strict upper triangle of an n x n matrix."""
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+def _strict_lower(size: int) -> np.ndarray:
+    """Read-only mask of the strict lower triangle of a diagonal block of
+    ``size`` <= ``SYM_BLOCK`` rows; a contiguous mask copies faster than a
+    slice of a larger one, which the BO surrogate's small searches notice."""
+    mask = np.tri(size, size, -1, dtype=bool)
     mask.flags.writeable = False
     return mask
 
@@ -129,19 +150,37 @@ def _strict_upper(n: int) -> np.ndarray:
 def _log_density_and_grad(chol, alpha, resid, kmat, d2, params: KernelParams,
                           with_grad: bool):
     """:func:`log_marginal_likelihood` from the parts of a fitted model; reads
-    only the lower triangle of ``chol``."""
+    only the lower triangle of ``chol``, and with ``with_grad`` takes
+    ownership of it: LAPACK ``potri`` overwrites a Fortran-ordered ``chol``
+    with the lower triangle of the inverse, and the weight matrix is formed
+    in that buffer."""
     n = resid.size
     value = float(-0.5 * (n * LOG_2PI + 2.0 * np.log(chol.diagonal()).sum()
                           + resid @ alpha))
     if not with_grad:
         return value
-    inverse, info = dpotri(chol, lower=1)
+    inverse, info = dpotri(chol, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
-    # potri fills the lower triangle; the upper one is mirrored from it
-    np.copyto(inverse, inverse.T, where=_strict_upper(n))
-    weight = alpha[:, None] * alpha
-    weight -= inverse
+    # The C-ordered view of potri's Fortran-ordered result, whose upper
+    # triangle holds the inverse: its lower triangle is mirrored from the
+    # upper, and it becomes alpha alpha^T - K^{-1}, in C order so that the
+    # sums below run over the same memory order as over a new C array. Above
+    # one block this goes row block by row block: rows above a block are
+    # weights already, symmetric to the bit, so the block's left part copies
+    # them, and its diagonal block is mirrored within itself.
+    weight = inverse.T
+    if n <= SYM_BLOCK:
+        np.copyto(weight, weight.T, where=_strict_lower(n))
+        np.subtract(alpha[:, None] * alpha, weight, out=weight)
+    else:
+        for r0 in range(0, n, SYM_BLOCK):
+            r1 = r0 + SYM_BLOCK
+            weight[r0:r1, :r0] = weight[:r0, r0:r1].T
+            block = weight[r0:r1, r0:r1]
+            np.copyto(block, block.T, where=_strict_lower(len(block)))
+            rows = weight[r0:r1, r0:]
+            np.subtract(alpha[r0:r1, None] * alpha[r0:], rows, out=rows)
     trace = float(weight.trace())
     weight *= kmat
     d_log_s2 = 0.5 * (weight.sum() + params.latent_jitter * trace)

@@ -15,8 +15,8 @@ import scipy.linalg.lapack
 import scipy.special
 
 from knotgp import Approximation, KernelParams, common, fit_full, fit_sparse, predict_full
-from knotgp.common import (NumericalError, PredictiveDistribution, _test_inputs, chol_lower,
-                           tri_solve)
+from knotgp.common import (SYM_BLOCK, NumericalError, PredictiveDistribution, _test_inputs,
+                           chol_lower, tri_solve)
 from knotgp.kernels import cov_matrix
 
 
@@ -27,6 +27,16 @@ def _spd(rng, k):
     return spd
 
 
+# one row, the block size and its neighbours, and a partial third block
+BLOCK_SIZES = [1, 2, SYM_BLOCK - 1, SYM_BLOCK, SYM_BLOCK + 1, 2 * SYM_BLOCK + 3]
+
+
+def _asymmetric_spd(rng, k):
+    """An SPD matrix whose every off-diagonal pair differs by round-off."""
+    spd = _spd(rng, k)
+    return spd * (1.0 + 1e-15 * rng.standard_normal((k, k)))
+
+
 class TestCholLower:
     @pytest.mark.parametrize("k", [1, 5, 29, 80, 320])
     def test_bit_identical_to_scipy_cholesky(self, k):
@@ -35,6 +45,41 @@ class TestCholLower:
         factor = chol_lower(a)
         assert np.array_equal(factor, expected)
         assert np.all(np.triu(factor, 1) == 0.0)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("k", BLOCK_SIZES)
+    def test_blocked_symmetrization_bit_identical(self, k, overwrite):
+        # the reference symmetrizes the whole matrix into a new array
+        a = _asymmetric_spd(np.random.default_rng(k), k)
+        assert k == 1 or not np.array_equal(a, a.T)
+        expected = scipy.linalg.cholesky(0.5 * (a + a.T), lower=True)
+        before = a.copy()
+        factor = chol_lower(a, _overwrite=overwrite)
+        assert factor.tobytes(order="A") == expected.tobytes(order="A")
+        assert factor.flags.f_contiguous
+        if not overwrite:
+            assert a.tobytes() == before.tobytes()
+        elif k > SYM_BLOCK:
+            # a C-contiguous input larger than one block becomes the factor
+            assert np.shares_memory(factor, a)
+
+    def test_overwrite_refuses_escalations(self):
+        a = _spd(np.random.default_rng(3), SYM_BLOCK + 1)
+        before = a.copy()
+        with pytest.raises(ValueError, match="escalations must be 0"):
+            chol_lower(a, escalations=1, _overwrite=True)
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("k", [4, 2 * SYM_BLOCK + 3])
+    @pytest.mark.parametrize("where", ["first row", "last row", "diagonal"])
+    def test_non_finite_input_raises_in_either_mode(self, k, where, overwrite):
+        a = _spd(np.random.default_rng(k), k)
+        row, col = {"first row": (0, k - 1), "last row": (k - 1, 1),
+                    "diagonal": (k - 2, k - 2)}[where]
+        a[row, col] = np.nan
+        with pytest.raises(ValueError, match="^probe contains non-finite entries$"):
+            chol_lower(a, label="probe", _overwrite=overwrite)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_value_error(self, bad):
@@ -50,10 +95,12 @@ class TestCholLower:
         assert diagnostics["near_singular_factorizations"] == 1
 
     @pytest.mark.parametrize("case, retries", [("rank deficient", None),
-                                               ("slightly indefinite", 3)])
+                                               ("slightly indefinite", 3),
+                                               ("rank deficient, blocked", None)])
     def test_ridge_escalation_sequence(self, monkeypatch, case, retries):
-        if case == "rank deficient":
-            x = np.random.default_rng(1).standard_normal((10, 3))
+        if case.startswith("rank deficient"):
+            rows = 10 if case == "rank deficient" else 2 * SYM_BLOCK + 3
+            x = np.random.default_rng(1).standard_normal((rows, 3))
             a = x @ x.T                                # PSD of rank 3
         else:
             a = np.diag([1.0, 1.0, -1e-9])             # needs a ridge above 1e-9

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 import scipy.stats
 
 from knotgp import (KernelParams, NumericalError, OptimizerConfig, fit_full,
                     fit_hyperparameters, log_marginal_likelihood, maximize, predict_full)
 from knotgp import full_gp, selection
+from knotgp.common import LOG_2PI, SYM_BLOCK, tri_solve
+from knotgp.full_gp import FullGPModel
+from knotgp.kernels import _kernel, squared_distances
 
 from oracles import central_difference, dense_full_predict, se_kernel_matrix
 
@@ -232,6 +239,128 @@ class TestFitHyperparameters:
         surrogate = selection._fit_surrogate(inputs, gains, init)
         assert surrogate.params is init
         np.testing.assert_array_equal(surrogate.alpha, fit_full(inputs, gains, init).alpha)
+
+
+def _reference_fit(x, y, params, mean_constant=0.0):
+    """The exact GP fit with a copy at each step: the kernel in a new array, a
+    noisy copy of it, and ``0.5 (m + m^T)`` into ``scipy.linalg.cholesky``.
+    Returns the factor, alpha, the kernel matrix and the distances."""
+    d2 = squared_distances(x, x)
+    kmat = _kernel(d2, params)
+    noisy = kmat.copy()
+    noisy[np.diag_indices(len(noisy))] += params.noise_variance + params.latent_jitter
+    chol = scipy.linalg.cholesky(0.5 * (noisy + noisy.T), lower=True)
+    alpha = tri_solve(chol, tri_solve(chol, y - mean_constant), trans=True)
+    return chol, alpha, kmat, d2
+
+
+def _reference_density(chol, alpha, resid, kmat, d2, params):
+    """Log density and its gradient with a copy at each step: ``potri`` into a
+    new array, the full upper triangle mirrored from it, and a new
+    ``alpha alpha^T - K^{-1}``."""
+    n = resid.size
+    value = float(-0.5 * (n * LOG_2PI + 2.0 * np.log(chol.diagonal()).sum() + resid @ alpha))
+    inverse, info = scipy.linalg.lapack.dpotri(chol, lower=1)
+    assert info == 0 and not np.shares_memory(inverse, chol)
+    upper = np.triu_indices(n, 1)
+    inverse[upper] = inverse.T[upper]
+    weight = np.outer(alpha, alpha)
+    weight -= inverse
+    trace = float(weight.trace())
+    weight *= kmat
+    return value, np.array([0.5 * (weight.sum() + params.latent_jitter * trace),
+                            0.5 * np.vdot(weight, d2) / params.lengthscale ** 2,
+                            0.5 * trace * params.noise_variance])
+
+
+def _reference_objective(x, y, init):
+    def objective(vec):
+        params = init.with_log_vector(vec)
+        chol, alpha, kmat, d2 = _reference_fit(x, y, params)
+        return _reference_density(chol, alpha, y, kmat, d2, params)
+    return objective
+
+
+def _bytes(a):
+    return np.asarray(a).tobytes(order="A")
+
+
+# one row, the block size and its neighbours, and a partial third block
+BLOCK_SIZES = [1, 2, SYM_BLOCK - 1, SYM_BLOCK, SYM_BLOCK + 1, 2 * SYM_BLOCK + 3]
+
+
+class TestInPlaceBuffers:
+    """The exact GP factors in the buffer it forms and inverts a copy of the
+    factor in place; every output keeps the bits of a path that copies."""
+
+    @staticmethod
+    def _problem(n):
+        rng = np.random.default_rng(n)
+        x = 0.8 * rng.standard_normal((n, 3))
+        y = np.sin(x[:, 0]) + 0.3 * rng.standard_normal(n)
+        return x, y, KernelParams(1.3, 0.9, 0.1)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_fit_density_and_gradient_bit_identical(self, n):
+        x, y, p = self._problem(n)
+        chol, alpha, kmat, d2 = _reference_fit(x, y, p, mean_constant=0.25)
+        value, grad = _reference_density(chol, alpha, y - 0.25, kmat, d2, p)
+
+        model = fit_full(x, y, p, mean_constant=0.25)
+        assert model.chol.flags.f_contiguous
+        assert _bytes(model.chol) == _bytes(chol)
+        assert _bytes(model.alpha) == _bytes(alpha)
+        assert log_marginal_likelihood(model) == value
+        factor = np.copy(model.chol)
+        got_value, got_grad = log_marginal_likelihood(model, with_grad=True)
+        assert got_value == value
+        assert _bytes(got_grad) == _bytes(grad)
+        # the gradient inverts a copy of the factor
+        assert _bytes(model.chol) == _bytes(factor)
+
+        xt = np.random.default_rng(n + 1).standard_normal((9, 3))
+        got = predict_full(model, xt)
+        expected = predict_full(FullGPModel(p, model.train_inputs, model.train_targets, 0.25,
+                                            chol, alpha), xt)
+        for field in ("latent_mean", "latent_variance", "noisy_variance"):
+            assert _bytes(getattr(got, field)) == _bytes(getattr(expected, field))
+
+    @pytest.mark.parametrize("method", ["bfgs", "adadelta"])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_search_bit_identical(self, n, method):
+        x, y, init = self._problem(n)
+        config = OptimizerConfig(max_steps=6)
+        expected = maximize(_reference_objective(x, y, init), init.log_vector(), config,
+                            method=method)
+        model, result = fit_hyperparameters(x, y, init, config, method=method)
+        assert result.n_steps == expected.n_steps
+        assert _bytes(result.x) == _bytes(expected.x)
+        assert _bytes(result.trace) == _bytes(expected.trace)
+        chol, alpha, _, _ = _reference_fit(x, y, init.with_log_vector(expected.x))
+        assert _bytes(model.chol) == _bytes(chol)
+        assert _bytes(model.alpha) == _bytes(alpha)
+
+    def test_peak_memory(self):
+        # a fit holds one N x N array and a gradient evaluation three
+        # (distances, kernel, the factor's copy), plus row-block temporaries
+        n = 600
+        x, y, p = self._problem(n)
+        model = fit_full(x, y, p)
+
+        def peak(call):
+            """Bytes ``call`` allocates at its peak, over what was allocated before."""
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        square = 8 * n * n
+        assert peak(lambda: fit_full(x, y, p)) < 1.3 * square
+        assert peak(lambda: log_marginal_likelihood(model, with_grad=True)) < 3.3 * square
+        assert peak(lambda: fit_hyperparameters(x, y, p, OptimizerConfig(max_steps=2))) \
+            < 3.3 * square
 
 
 class TestPredictFull:
