@@ -118,42 +118,30 @@ def _test_inputs(test_inputs, x: np.ndarray) -> np.ndarray:
 
 
 SYM_BLOCK = 128
-"""Rows per block in which :func:`chol_lower` symmetrizes a larger matrix."""
+"""Rows per block in which :func:`chol_lower` symmetrizes a matrix."""
 
 
-def _symmetrized(matrix: np.ndarray, label: str, overwrite: bool = False) -> np.ndarray:
-    """``(matrix + matrix^T) / 2`` for :func:`chol_lower`, whose ``dpotrf``
-    reads only the upper triangle of the C-ordered result; a non-finite entry
-    raises ``ValueError`` naming ``label``.
+def _symmetrized(matrix: np.ndarray, label: str, out: np.ndarray) -> np.ndarray:
+    """``out`` with ``(matrix + matrix^T) / 2`` written into its upper
+    triangle, the only one that :func:`chol_lower`'s ``dpotrf`` reads of a
+    C-ordered array; a non-finite entry raises ``ValueError`` naming
+    ``label``.
 
-    A matrix of at most :data:`SYM_BLOCK` rows is symmetrized whole into one
-    new array. A larger one has only the upper triangle written, in row
-    blocks, into one new array or with ``overwrite`` into ``matrix`` itself:
-    each block reads only rows not written yet. A block's rows right of its
-    diagonal block add the transpose of the block column below them, which
-    shares no memory with them, and the diagonal block is added to its
-    transpose in a small new array. Below the diagonal blocks the result
-    keeps what its buffer held.
+    ``out`` may be ``matrix`` itself. The upper triangle is written in row
+    blocks of :data:`SYM_BLOCK`, each the sum of the block's rows from its
+    diagonal on and the transpose of its block column from its diagonal
+    down, so each block reads only rows not written yet; where they share
+    memory, numpy copies the transposed operand first. The diagonal blocks
+    are written whole, and below them ``out`` keeps what its buffer held.
     """
-    n = len(matrix)
-    if n <= SYM_BLOCK:
-        sym = matrix + matrix.T
-        sym *= 0.5
-        if not np.isfinite(sym).all():
-            raise ValueError(f"{label} contains non-finite entries")
-        return sym
-    sym = matrix if overwrite else np.empty(matrix.shape)
-    for r0 in range(0, n, SYM_BLOCK):
+    for r0 in range(0, len(matrix), SYM_BLOCK):
         r1 = r0 + SYM_BLOCK
-        block = matrix[r0:r1, r0:r1]
-        diagonal = block + block.T
-        np.add(matrix[r0:r1, r1:], matrix[r1:, r0:r1].T, out=sym[r0:r1, r1:])
-        sym[r0:r1, r0:r1] = diagonal
-        rows = sym[r0:r1, r0:]
+        rows = out[r0:r1, r0:]
+        np.add(matrix[r0:r1, r0:], matrix[r0:, r0:r1].T, out=rows)
         rows *= 0.5
         if not np.isfinite(rows).all():
             raise ValueError(f"{label} contains non-finite entries")
-    return sym
+    return out
 
 
 def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | None = None,
@@ -169,31 +157,31 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
     The input is symmetrized as ``(matrix + matrix^T) / 2`` and a non-finite
     entry raises ``ValueError``. ``dpotrf`` gets the transpose of the
     C-ordered symmetrized array, which is that array in Fortran order, and
-    factors it in place, reading only its upper triangle. A matrix of at
-    most :data:`SYM_BLOCK` rows is symmetrized whole into one new array. A
-    larger one has only that upper triangle symmetrized, in row blocks
-    (:func:`_symmetrized`), which reads the transpose block by block instead
-    of at a stride of one row; it goes into one new array, or with the
-    private ``_overwrite`` into the input's own buffer, so that a
-    C-contiguous input becomes the factor and is lost. Either way the factor
-    has the same bits, and the returned array is the one to use.
+    factors it in place, reading only its upper triangle. Only that upper
+    triangle is symmetrized, in row blocks (:func:`_symmetrized`), which
+    reads the transpose block by block instead of at a stride of one row;
+    it goes into one new array, or with the private ``_overwrite`` into the
+    input's own buffer, so that a C-contiguous input becomes the factor and
+    is lost. Either way the factor has the same bits, and the returned
+    array is the one to use.
 
     If ``escalations`` > 0 and the factorization fails, the symmetrized
-    array is formed again and a ridge starting at 1e-12 times the mean
-    diagonal is added, grown a hundredfold per retry; each failed attempt
-    bumps the ``near_singular_factorizations`` counter in ``diagnostics``.
-    Raises :class:`NumericalError`, carrying the ridge of the last attempt,
-    once retries are exhausted. An overwritten input cannot be formed again,
-    so ``_overwrite`` requires ``escalations=0``.
+    array is formed again in the same buffer and a ridge starting at 1e-12
+    times the mean diagonal is added to its diagonal, grown a hundredfold
+    per retry; each failed attempt bumps the ``near_singular_factorizations``
+    counter in ``diagnostics``. Raises :class:`NumericalError`, carrying the
+    ridge of the last attempt, once retries are exhausted. An overwritten
+    input cannot be formed again, so ``_overwrite`` requires
+    ``escalations=0``.
     """
     if _overwrite and escalations:
         raise ValueError("chol_lower cannot retry an overwritten matrix: escalations must be 0")
 
-    sym = _symmetrized(matrix, label, _overwrite)
+    sym = _symmetrized(matrix, label, matrix if _overwrite else np.empty(matrix.shape))
     ridge = 0.0
     for attempt in range(escalations + 1):
         if attempt:
-            sym = _symmetrized(matrix, label)    # the failed attempt overwrote it
+            _symmetrized(matrix, label, sym)    # the failed attempt overwrote it
             if attempt == 1:
                 scale = float(sym.diagonal().mean())
                 if not np.isfinite(scale) or scale <= 0.0:
@@ -201,9 +189,10 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
                 ridge = 1e-12 * scale
             else:
                 ridge *= 100.0
-            # a blocked array holds np.empty's bytes below its diagonal
-            # blocks; dpotrf never reads them and clean=1 zeroes them
-            sym += ridge * np.eye(sym.shape[0])
+            # below its diagonal blocks sym holds bytes that dpotrf never
+            # reads, np.empty's or a failed attempt's, so only the diagonal
+            # takes the ridge
+            sym.reshape(-1)[::sym.shape[0] + 1] += ridge
         factor, info = dpotrf(sym.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return factor

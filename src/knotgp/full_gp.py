@@ -9,8 +9,7 @@ all solves go.
 A fit holds one N x N array at a time: the squared distances become the
 kernel matrix in place, the noise goes on its diagonal, and
 :func:`~knotgp.common.chol_lower` symmetrizes and factors it in that same
-buffer, which the model keeps as its factor (a matrix of at most
-``SYM_BLOCK`` rows is symmetrized into one small new array). The gradient
+buffer, which the model keeps as its factor. The gradient
 of the log marginal likelihood recomputes the kernel matrix from the
 distances and turns a copy of the factor into the full inverse with one
 LAPACK ``potri``; the inverse's lower triangle is mirrored, and the weight
@@ -30,7 +29,6 @@ values are those of the public pair to the bit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +66,8 @@ def _factorize(kmat: np.ndarray, resid: np.ndarray, params: KernelParams):
     kernel matrix and the centered targets, which must already be validated.
 
     Takes ownership of ``kmat``, a C-contiguous float array: the noise goes
-    on its diagonal in place, and above ``SYM_BLOCK`` rows it is symmetrized
-    and factored in place too, so the factor is that buffer; at or below it
-    the factor is one small new array.
+    on its diagonal in place, and it is symmetrized and factored in place
+    too, so the factor is that buffer.
     """
     kmat.reshape(-1)[::kmat.shape[0] + 1] += params.noise_variance + params.latent_jitter
     try:
@@ -137,14 +134,10 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
                                  _kernel(d2, model.params), d2, model.params, True)
 
 
-@functools.lru_cache(maxsize=8)
-def _strict_lower(size: int) -> np.ndarray:
-    """Read-only mask of the strict lower triangle of a diagonal block of
-    ``size`` <= ``SYM_BLOCK`` rows; a contiguous mask copies faster than a
-    slice of a larger one, which the BO surrogate's small searches notice."""
-    mask = np.tri(size, size, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+# the strict lower triangle of a diagonal block of the weight matrix, sliced
+# to the block's size
+_STRICT_LOWER = np.tri(SYM_BLOCK, SYM_BLOCK, -1, dtype=bool)
+_STRICT_LOWER.flags.writeable = False
 
 
 def _log_density_and_grad(chol, alpha, resid, kmat, d2, params: KernelParams,
@@ -165,22 +158,18 @@ def _log_density_and_grad(chol, alpha, resid, kmat, d2, params: KernelParams,
     # The C-ordered view of potri's Fortran-ordered result, whose upper
     # triangle holds the inverse: its lower triangle is mirrored from the
     # upper, and it becomes alpha alpha^T - K^{-1}, in C order so that the
-    # sums below run over the same memory order as over a new C array. Above
-    # one block this goes row block by row block: rows above a block are
-    # weights already, symmetric to the bit, so the block's left part copies
-    # them, and its diagonal block is mirrored within itself.
+    # sums below run over the same memory order as over a new C array. This
+    # goes row block by row block: rows above a block are weights already,
+    # symmetric to the bit, so the block's left part copies them, and its
+    # diagonal block is mirrored within itself.
     weight = inverse.T
-    if n <= SYM_BLOCK:
-        np.copyto(weight, weight.T, where=_strict_lower(n))
-        np.subtract(alpha[:, None] * alpha, weight, out=weight)
-    else:
-        for r0 in range(0, n, SYM_BLOCK):
-            r1 = r0 + SYM_BLOCK
-            weight[r0:r1, :r0] = weight[:r0, r0:r1].T
-            block = weight[r0:r1, r0:r1]
-            np.copyto(block, block.T, where=_strict_lower(len(block)))
-            rows = weight[r0:r1, r0:]
-            np.subtract(alpha[r0:r1, None] * alpha[r0:], rows, out=rows)
+    for r0 in range(0, n, SYM_BLOCK):
+        r1 = r0 + SYM_BLOCK
+        weight[r0:r1, :r0] = weight[:r0, r0:r1].T
+        block = weight[r0:r1, r0:r1]
+        np.copyto(block, block.T, where=_STRICT_LOWER[:len(block), :len(block)])
+        rows = weight[r0:r1, r0:]
+        np.subtract(alpha[r0:r1, None] * alpha[r0:], rows, out=rows)
     trace = float(weight.trace())
     weight *= kmat
     d_log_s2 = 0.5 * (weight.sum() + params.latent_jitter * trace)

@@ -59,8 +59,8 @@ class TestCholLower:
         assert factor.flags.f_contiguous
         if not overwrite:
             assert a.tobytes() == before.tobytes()
-        elif k > SYM_BLOCK:
-            # a C-contiguous input larger than one block becomes the factor
+        else:
+            # a C-contiguous input becomes the factor at every size
             assert np.shares_memory(factor, a)
 
     def test_overwrite_refuses_escalations(self):
@@ -122,6 +122,34 @@ class TestCholLower:
         np.testing.assert_allclose(ridges, expected, rtol=1e-3, atol=0.0)
         np.testing.assert_allclose(factor @ factor.T, a + ridges[-1] * np.eye(len(a)),
                                    rtol=0.0, atol=1e-12 * np.max(np.abs(a)))
+
+    def test_ridge_retry_reads_no_uninitialised_bytes(self, monkeypatch):
+        # np.empty's buffer is filled with a signalling NaN, which warns as
+        # an invalid value in any arithmetic that reads it
+        x = np.random.default_rng(7).standard_normal((2 * SYM_BLOCK + 3, 10))
+        a = x @ x.T                                    # PSD of rank 10
+        empty = np.empty
+
+        def poisoned(shape, *args, **kwargs):
+            out = empty(shape, *args, **kwargs)
+            out.view(np.uint64).fill(0x7FF0000000000001)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        diagnostics = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = chol_lower(a, escalations=3, diagnostics=diagnostics)
+        monkeypatch.undo()
+        retries = diagnostics["near_singular_factorizations"]
+        assert retries >= 1
+        sym = 0.5 * (a + a.T)
+        ridge = 1e-12 * float(sym.diagonal().mean())
+        for _ in range(retries - 1):
+            ridge *= 100.0
+        sym[np.diag_indices(len(sym))] += ridge
+        expected = scipy.linalg.cholesky(sym, lower=True)
+        assert factor.tobytes(order="A") == expected.tobytes(order="A")
 
     @pytest.mark.parametrize("case", ["first attempt", "after a ridge retry"])
     def test_input_left_unmodified(self, case):

@@ -325,6 +325,13 @@ class TestInPlaceBuffers:
         for field in ("latent_mean", "latent_variance", "noisy_variance"):
             assert _bytes(getattr(got, field)) == _bytes(getattr(expected, field))
 
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_factor_is_the_kernel_buffer(self, n):
+        x, y, p = self._problem(n)
+        kmat = _kernel(squared_distances(x, x), p)
+        factor, _ = full_gp._factorize(kmat, y, p)
+        assert np.shares_memory(factor, kmat)
+
     @pytest.mark.parametrize("method", ["bfgs", "adadelta"])
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_search_bit_identical(self, n, method):
