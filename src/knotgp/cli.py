@@ -35,11 +35,21 @@ def _apply_overrides(config: bench.ExperimentConfig, args) -> bench.ExperimentCo
     return config
 
 
+def _usage_error(args, err) -> int:
+    """Report ``err`` on one stderr line; 2 is argparse's exit code for a
+    usage error."""
+    print(f"knotgp {args.command}: error: {err}", file=sys.stderr)
+    return 2
+
+
 def _cmd_fit(args) -> int:
     config = args.config
-    table = bench.load_csv(config.dataset_path, config.predictor_columns,
-                           config.target_column, config.filter_rules)
-    _, dataset, _ = next(bench.experiment_runs(config, table))
+    try:
+        table = bench.load_csv(config.dataset_path, config.predictor_columns,
+                               config.target_column, config.filter_rules)
+        _, dataset, _ = next(bench.experiment_runs(config, table))
+    except (OSError, ValueError) as err:        # an unreadable dataset or split
+        return _usage_error(args, err)
     entry = bench.RosterEntry("fit", "OAT-BO" if config.oat.proposal == "bo" else "OAT-RS",
                               config.oat.objective.upper())
     result, _, _ = bench._fit_entry(0, entry, config, dataset, config.oat.rng_seed, {})
@@ -66,7 +76,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    results, ok = bench.run_experiment(args.config)
+    try:
+        results, ok = bench.run_experiment(args.config)
+    except (OSError, ValueError) as err:        # a failed model is recorded, not raised
+        return _usage_error(args, err)
     print(f"wrote {len(results)} result rows to {args.config.output_dir}")
     return 0 if ok else 1
 
@@ -135,8 +148,7 @@ def main(argv=None) -> int:
         try:
             args.config = _apply_overrides(bench.ExperimentConfig.from_json(args.config), args)
         except (OSError, TypeError, ValueError) as err:
-            print(f"knotgp {args.command}: error: {err}", file=sys.stderr)
-            return 2                    # argparse's exit code for a usage error
+            return _usage_error(args, err)
     return args.func(args)
 
 

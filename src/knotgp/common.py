@@ -117,33 +117,6 @@ def _test_inputs(test_inputs, x: np.ndarray) -> np.ndarray:
     return xt
 
 
-SYM_BLOCK = 128
-"""Rows per block in which :func:`chol_lower` symmetrizes a matrix."""
-
-
-def _symmetrized(matrix: np.ndarray, label: str, out: np.ndarray) -> np.ndarray:
-    """``out`` with ``(matrix + matrix^T) / 2`` written into its upper
-    triangle, the only one that :func:`chol_lower`'s ``dpotrf`` reads of a
-    C-ordered array; a non-finite entry raises ``ValueError`` naming
-    ``label``.
-
-    ``out`` may be ``matrix`` itself. The upper triangle is written in row
-    blocks of :data:`SYM_BLOCK`, each the sum of the block's rows from its
-    diagonal on and the transpose of its block column from its diagonal
-    down, so each block reads only rows not written yet; where they share
-    memory, numpy copies the transposed operand first. The diagonal blocks
-    are written whole, and below them ``out`` keeps what its buffer held.
-    """
-    for r0 in range(0, len(matrix), SYM_BLOCK):
-        r1 = r0 + SYM_BLOCK
-        rows = out[r0:r1, r0:]
-        np.add(matrix[r0:r1, r0:], matrix[r0:, r0:r1].T, out=rows)
-        rows *= 0.5
-        if not np.isfinite(rows).all():
-            raise ValueError(f"{label} contains non-finite entries")
-    return out
-
-
 def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | None = None,
                label: str = "matrix", _overwrite: bool = False) -> np.ndarray:
     """Lower Cholesky factor of a symmetric PSD matrix.
@@ -154,34 +127,35 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
     ``scipy.linalg``, or from ``scipy.linalg.lapack`` where that file is
     absent or does not load (see the module docstring).
 
-    The input is symmetrized as ``(matrix + matrix^T) / 2`` and a non-finite
-    entry raises ``ValueError``. ``dpotrf`` gets the transpose of the
-    C-ordered symmetrized array, which is that array in Fortran order, and
-    factors it in place, reading only its upper triangle. Only that upper
-    triangle is symmetrized, in row blocks (:func:`_symmetrized`), which
-    reads the transpose block by block instead of at a stride of one row;
-    it goes into one new array, or with the private ``_overwrite`` into the
-    input's own buffer, so that a C-contiguous input becomes the factor and
-    is lost. Either way the factor has the same bits, and the returned
-    array is the one to use.
+    ``matrix`` is read as the symmetric matrix held in its upper triangle:
+    its C-ordered transpose is that array in Fortran order, of which
+    ``dpotrf`` reads only the lower triangle (LAPACK's contract, on which
+    ``scipy.linalg.cholesky`` relies too). Its strict lower triangle is not
+    read, except by the finiteness check of the whole matrix that comes
+    first: a non-finite entry anywhere raises ``ValueError``. ``dpotrf``
+    factors in place, in one new copy of the input, or with the private
+    ``_overwrite`` in the input's own buffer, so that a C-contiguous input
+    becomes the factor and is lost. Either way the factor has the same bits,
+    and the returned array is the one to use.
 
-    If ``escalations`` > 0 and the factorization fails, the symmetrized
-    array is formed again in the same buffer and a ridge starting at 1e-12
-    times the mean diagonal is added to its diagonal, grown a hundredfold
-    per retry; each failed attempt bumps the ``near_singular_factorizations``
-    counter in ``diagnostics``. Raises :class:`NumericalError`, carrying the
-    ridge of the last attempt, once retries are exhausted. An overwritten
-    input cannot be formed again, so ``_overwrite`` requires
-    ``escalations=0``.
+    If ``escalations`` > 0 and the factorization fails, the input is copied
+    again into the same buffer and a ridge starting at 1e-12 times the mean
+    diagonal is added to its diagonal, grown a hundredfold per retry; each
+    failed attempt bumps the ``near_singular_factorizations`` counter in
+    ``diagnostics``. Raises :class:`NumericalError`, carrying the ridge of
+    the last attempt, once retries are exhausted. An overwritten input
+    cannot be copied again, so ``_overwrite`` requires ``escalations=0``.
     """
     if _overwrite and escalations:
         raise ValueError("chol_lower cannot retry an overwritten matrix: escalations must be 0")
 
-    sym = _symmetrized(matrix, label, matrix if _overwrite else np.empty(matrix.shape))
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{label} contains non-finite entries")
+    sym = matrix if _overwrite else matrix.astype(float, order="C")
     ridge = 0.0
     for attempt in range(escalations + 1):
         if attempt:
-            _symmetrized(matrix, label, sym)    # the failed attempt overwrote it
+            np.copyto(sym, matrix)      # the failed attempt overwrote it
             if attempt == 1:
                 scale = float(sym.diagonal().mean())
                 if not np.isfinite(scale) or scale <= 0.0:
@@ -189,9 +163,6 @@ def chol_lower(matrix: np.ndarray, escalations: int = 0, diagnostics: dict | Non
                 ridge = 1e-12 * scale
             else:
                 ridge *= 100.0
-            # below its diagonal blocks sym holds bytes that dpotrf never
-            # reads, np.empty's or a failed attempt's, so only the diagonal
-            # takes the ridge
             sym.reshape(-1)[::sym.shape[0] + 1] += ridge
         factor, info = dpotrf(sym.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:

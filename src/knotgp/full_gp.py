@@ -8,7 +8,7 @@ all solves go.
 
 A fit holds one N x N array at a time: the squared distances become the
 kernel matrix in place, the noise goes on its diagonal, and
-:func:`~knotgp.common.chol_lower` symmetrizes and factors it in that same
+:func:`~knotgp.common.chol_lower` factors its upper triangle in that same
 buffer, which the model keeps as its factor. The gradient
 of the log marginal likelihood recomputes the kernel matrix from the
 distances and turns a copy of the factor into the full inverse with one
@@ -35,8 +35,7 @@ import numpy as np
 
 from .adadelta import MaximizeResult, OptimizerConfig, maximize
 from .common import (LOG_2PI, NumericalError, PredictiveDistribution, _clamped_prediction,
-                     SYM_BLOCK, _test_inputs, _training_data, chol_lower, dpotri,
-                     tri_solve)
+                     _test_inputs, _training_data, chol_lower, dpotri, tri_solve)
 from .kernels import KernelParams, _kernel, _row_norms, _squared_distances, squared_distances
 
 
@@ -66,7 +65,7 @@ def _factorize(kmat: np.ndarray, resid: np.ndarray, params: KernelParams):
     kernel matrix and the centered targets, which must already be validated.
 
     Takes ownership of ``kmat``, a C-contiguous float array: the noise goes
-    on its diagonal in place, and it is symmetrized and factored in place
+    on its diagonal in place, and its upper triangle is factored in place
     too, so the factor is that buffer.
     """
     kmat.reshape(-1)[::kmat.shape[0] + 1] += params.noise_variance + params.latent_jitter
@@ -133,6 +132,10 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
     return _log_density_and_grad(model.chol.copy(order="K"), model.alpha, resid,
                                  _kernel(d2, model.params), d2, model.params, True)
 
+
+SYM_BLOCK = 128
+"""Rows per block in which :func:`_log_density_and_grad` forms the weight
+matrix."""
 
 # the strict lower triangle of a diagonal block of the weight matrix, sliced
 # to the block's size

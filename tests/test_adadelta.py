@@ -18,6 +18,9 @@ class TestConfig:
             OptimizerConfig(max_steps=0)
         with pytest.raises(ValueError):
             OptimizerConfig(patience=0)
+        for rel_tol in (0.0, -1e-6):
+            with pytest.raises(ValueError, match=f"^rel_tol must be positive, got {rel_tol}$"):
+                OptimizerConfig(rel_tol=rel_tol)
 
 
 class TestAdadeltaStep:

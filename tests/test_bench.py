@@ -93,6 +93,25 @@ class TestLoadCsv:
         table = load_csv(path, ["a"], "y", [("a", ">", 1), ("a", "<=", 3)])
         np.testing.assert_array_equal(table.columns["a"], [2.0, 3.0])
 
+    @pytest.mark.parametrize("text, rules, message", [
+        ("", [], r" is empty$"),
+        ("a,y\n1.0,2.0\n2.0,inf\n", [], r"^column 'y' contains non-finite values$"),
+        ("a,y\n1.0,2.0\n", [("a", "~", 1.0)], r"^unknown comparator '~' in filter rule$"),
+    ], ids=["empty file", "non-finite column", "unknown comparator"])
+    def test_rejected_file_names_its_fault(self, tmp_path, text, rules, message):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, ["a"], "y", rules)
+
+    def test_blank_data_rows_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("a,y\n1.0,2.0\n\n , \n3.0,4.0\n")
+        table = load_csv(path, ["a"], "y")
+        assert table.n_rows == 2
+        np.testing.assert_array_equal(table.columns["a"], [1.0, 3.0])
+        np.testing.assert_array_equal(table.columns["y"], [2.0, 4.0])
+
     def test_filter_that_keeps_no_rows_names_the_rules(self, tmp_path):
         path = tmp_path / "f.csv"
         _write_csv(path, ["a", "b", "y"], [(1, 5, 0), (2, 6, 0), (3, 7, 0), (4, 8, 0)])
@@ -139,6 +158,19 @@ class TestSplitAndStandardize:
         _write_csv(path, ["a", "y"], [(1.0, i) for i in range(20)])
         table = load_csv(path, ["a"], "y")
         with pytest.raises(ValueError, match="'a'"):
+            split_and_standardize(table, ["a"], "y", 0.5, 0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        table = Table({"a": np.arange(20.0), "y": np.arange(20.0) % 7}, 20)
+        with pytest.raises(ValueError, match=rf"^split fraction must lie in \(0, 1\), "
+                                             rf"got {fraction}$"):
+            split_and_standardize(table, ["a"], "y", fraction, 0)
+
+    def test_constant_target_rejected(self):
+        table = Table({"a": np.arange(20.0), "y": np.full(20, 3.0)}, 20)
+        with pytest.raises(ValueError, match=r"^target column 'y' is constant on the "
+                                             r"training split$"):
             split_and_standardize(table, ["a"], "y", 0.5, 0)
 
     def test_one_test_row_rejected(self, tmp_path):
@@ -195,6 +227,11 @@ class TestExperimentConfig:
             ExperimentConfig("d.csv", ["a"], "y",
                              model_roster=[RosterEntry("m", "none", "FullGP"),
                                            RosterEntry("m", "OAT-BO", "VFE")])
+
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_no_runs_rejected(self, n_runs):
+        with pytest.raises(ValueError, match=rf"^n_runs must be at least 1, got {n_runs}$"):
+            ExperimentConfig("d.csv", ["a"], "y", n_runs=n_runs)
 
     def test_forward_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +302,15 @@ class TestExperimentConfig:
             else:
                 assert loaded == value
         assert config.oat.rng_seed == raw["rng_seed"]
+
+    @pytest.mark.parametrize("fields, message", [
+        (("Random", "VFE"), "unknown knot_selection 'Random'"),
+        (("OAT-BO", "DTC"), "unknown approximation 'DTC'"),
+        (("Simult", "VFE", "random"), "unknown knot_init 'random'"),
+    ], ids=["knot_selection", "approximation", "knot_init"])
+    def test_unknown_roster_field_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RosterEntry("m", *fields)
 
     @pytest.mark.parametrize("approximation", ["VFE", "FIC"])
     def test_no_knot_selection_needs_full_gp(self, approximation):
@@ -381,8 +427,11 @@ class TestRunExperiment:
         for (run, ds, _), fgp in zip(experiment_runs(config, table),
                                      (r for r in results if r.model_id == "FGP")):
             trace = fgp.trace
+            # the search starts at the round-tripped log vector, whose noise
+            # variance may differ from init_params' in the last bit
+            init = config.init_params
             start = log_marginal_likelihood(fit_full(ds.x_train, ds.y_train,
-                                                     config.init_params))
+                                                     init.with_log_vector(init.log_vector())))
             assert trace["objective_before"] == trace["history"][0]["objective"] == start
             assert trace["history"][-1]["objective"] == trace["objective"] > start
             assert trace["n_steps"] == len(trace["history"]) - 1 >= 1

@@ -150,6 +150,27 @@ def test_missing_config_file_exits_with_one_line(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["missing file", "non-numeric cell"])
+@pytest.mark.parametrize("command", ["fit", "experiment"])
+def test_unreadable_dataset_exits_with_one_line(tmp_path, capsys, command, case):
+    roster = [{"model_id": "ORVk", "knot_selection": "OAT-RS", "approximation": "VFE"}]
+    config = _write_config(tmp_path, roster)
+    data = tmp_path / "data.csv"
+    if case == "missing file":
+        data.unlink()
+        expected = f"dataset file not found: {data}"
+    else:
+        lines = data.read_text().splitlines()
+        lines[5] = "0.5,oops,1.0"
+        data.write_text("\n".join(lines) + "\n")
+        expected = f"non-numeric cell 'oops' at row 6, column 'x2' of {data}"
+    assert main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"knotgp {command}: error: {expected}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_spike_demo_subcommand(tmp_path, capsys):
     code = main(["spike-demo", "--seed", "0", "--out", str(tmp_path / "spike")])
     assert code == 0

@@ -15,15 +15,16 @@ import scipy.linalg.lapack
 import scipy.special
 
 from knotgp import Approximation, KernelParams, common, fit_full, fit_sparse, predict_full
-from knotgp.common import (SYM_BLOCK, NumericalError, PredictiveDistribution, _test_inputs,
-                           chol_lower, tri_solve)
+from knotgp.common import (NumericalError, PredictiveDistribution, _test_inputs, chol_lower,
+                           tri_solve)
+from knotgp.full_gp import SYM_BLOCK
 from knotgp.kernels import cov_matrix
 
 
 def _spd(rng, k):
     a = rng.standard_normal((k, k + 2))
     spd = a @ a.T + 1e-3 * np.eye(k)
-    spd[0, -1] += 1e-9 * k        # asymmetric round-off that the symmetrization removes
+    spd[0, -1] += 1e-9 * k        # asymmetric: chol_lower reads the upper triangle
     return spd
 
 
@@ -41,18 +42,18 @@ class TestCholLower:
     @pytest.mark.parametrize("k", [1, 5, 29, 80, 320])
     def test_bit_identical_to_scipy_cholesky(self, k):
         a = _spd(np.random.default_rng(k), k)
-        expected = scipy.linalg.cholesky(0.5 * (a + a.T), lower=True)
+        expected = scipy.linalg.cholesky(np.triu(a) + np.triu(a, 1).T, lower=True)
         factor = chol_lower(a)
         assert np.array_equal(factor, expected)
         assert np.all(np.triu(factor, 1) == 0.0)
 
     @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("k", BLOCK_SIZES)
-    def test_blocked_symmetrization_bit_identical(self, k, overwrite):
-        # the reference symmetrizes the whole matrix into a new array
+    def test_upper_triangle_factor_bit_identical(self, k, overwrite):
+        # the reference mirrors the upper triangle into a new array
         a = _asymmetric_spd(np.random.default_rng(k), k)
         assert k == 1 or not np.array_equal(a, a.T)
-        expected = scipy.linalg.cholesky(0.5 * (a + a.T), lower=True)
+        expected = scipy.linalg.cholesky(np.triu(a) + np.triu(a, 1).T, lower=True)
         before = a.copy()
         factor = chol_lower(a, _overwrite=overwrite)
         assert factor.tobytes(order="A") == expected.tobytes(order="A")
@@ -62,6 +63,23 @@ class TestCholLower:
         else:
             # a C-contiguous input becomes the factor at every size
             assert np.shares_memory(factor, a)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("k", [2, 29, 2 * SYM_BLOCK + 3])
+    def test_strict_lower_triangle_is_only_checked(self, k, overwrite):
+        # finite changes below the diagonal leave the factor's bytes as they
+        # are; a non-finite entry there still raises
+        a = _spd(np.random.default_rng(k), k)
+        expected = chol_lower(a).tobytes(order="A")
+        below = np.tril_indices(k, -1)
+        changed = a.copy()
+        changed[below] = 1e3 * np.random.default_rng(k + 1).standard_normal(len(below[0]))
+        assert chol_lower(changed, _overwrite=overwrite).tobytes(order="A") == expected
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = a.copy()
+            poisoned[k - 1, 0] = bad
+            with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                chol_lower(poisoned, _overwrite=overwrite)
 
     def test_overwrite_refuses_escalations(self):
         a = _spd(np.random.default_rng(3), SYM_BLOCK + 1)
@@ -143,7 +161,7 @@ class TestCholLower:
         monkeypatch.undo()
         retries = diagnostics["near_singular_factorizations"]
         assert retries >= 1
-        sym = 0.5 * (a + a.T)
+        sym = np.triu(a) + np.triu(a, 1).T
         ridge = 1e-12 * float(sym.diagonal().mean())
         for _ in range(retries - 1):
             ridge *= 100.0
@@ -153,7 +171,7 @@ class TestCholLower:
 
     @pytest.mark.parametrize("case", ["first attempt", "after a ridge retry"])
     def test_input_left_unmodified(self, case):
-        # the factorization overwrites the symmetrized copy, never the input
+        # the factorization overwrites a copy, never the input
         if case == "first attempt":
             a = _spd(np.random.default_rng(2), 6)
         else:
@@ -183,6 +201,18 @@ def test_one_dimensional_input_becomes_a_column():
     a = common.as_input_matrix([0.5, -1.0, 2.0])
     assert a.shape == (3, 1) and a.dtype == float
     np.testing.assert_array_equal(a[:, 0], [0.5, -1.0, 2.0])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([], "^probe must be nonempty$"),
+    (np.zeros((0, 3)), "^probe must be nonempty$"),
+    ([1.0, np.nan], "^probe contains non-finite entries$"),
+    ([[np.inf, 0.0]], "^probe contains non-finite entries$"),
+    ([-np.inf], "^probe contains non-finite entries$"),
+], ids=["empty", "empty 2-d", "nan", "inf", "-inf"])
+def test_as_vector_rejects(values, message):
+    with pytest.raises(ValueError, match=message):
+        common.as_vector(values, "probe")
 
 
 class TestNegativeVarianceClamp:

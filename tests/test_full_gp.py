@@ -9,8 +9,8 @@ import scipy.stats
 from knotgp import (KernelParams, NumericalError, OptimizerConfig, fit_full,
                     fit_hyperparameters, log_marginal_likelihood, maximize, predict_full)
 from knotgp import full_gp, selection
-from knotgp.common import LOG_2PI, SYM_BLOCK, tri_solve
-from knotgp.full_gp import FullGPModel
+from knotgp.common import LOG_2PI, tri_solve
+from knotgp.full_gp import SYM_BLOCK, FullGPModel
 from knotgp.kernels import _kernel, squared_distances
 
 from oracles import central_difference, dense_full_predict, se_kernel_matrix
@@ -243,13 +243,14 @@ class TestFitHyperparameters:
 
 def _reference_fit(x, y, params, mean_constant=0.0):
     """The exact GP fit with a copy at each step: the kernel in a new array, a
-    noisy copy of it, and ``0.5 (m + m^T)`` into ``scipy.linalg.cholesky``.
-    Returns the factor, alpha, the kernel matrix and the distances."""
+    noisy copy of it, and its upper triangle mirrored into
+    ``scipy.linalg.cholesky``. Returns the factor, alpha, the kernel matrix
+    and the distances."""
     d2 = squared_distances(x, x)
     kmat = _kernel(d2, params)
     noisy = kmat.copy()
     noisy[np.diag_indices(len(noisy))] += params.noise_variance + params.latent_jitter
-    chol = scipy.linalg.cholesky(0.5 * (noisy + noisy.T), lower=True)
+    chol = scipy.linalg.cholesky(np.triu(noisy) + np.triu(noisy, 1).T, lower=True)
     alpha = tri_solve(chol, tri_solve(chol, y - mean_constant), trans=True)
     return chol, alpha, kmat, d2
 

@@ -35,6 +35,11 @@ class TestKernelParams:
                 assert type(getattr(got, name)) is float
                 assert getattr(got, name).hex() == getattr(expected, name).hex(), name
 
+    @pytest.mark.parametrize("vec", [[], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_with_log_vector_wrong_length_raises(self, vec):
+        with pytest.raises(ValueError, match=rf"^log vector must have length 3, got {len(vec)}$"):
+            KernelParams(1.0, 1.0, 0.1).with_log_vector(vec)
+
     @pytest.mark.parametrize("vec, bad", [([800.0, 0.0, 0.0], 0), ([0.0, -800.0, 0.0], 1)])
     def test_with_log_vector_overflow_raises_as_the_constructor(self, vec, bad):
         p = KernelParams(1.0, 1.0, 0.1)
@@ -185,6 +190,15 @@ class TestGradients:
             knot_analytic = kernel_grad_knot(a, b, p)
             knot_fd = central_difference(lambda u: kernel_eval(a, u, p), b, step=1e-5)
             np.testing.assert_allclose(knot_analytic, knot_fd, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("helper, name", [(kernel_eval, "b"), (kernel_grad_params, "b"),
+                                              (kernel_grad_knot, "knot")])
+    def test_point_that_is_not_1d_raises(self, helper, name):
+        p = KernelParams(1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match=r"^a must be a single point \(1-d array\)$"):
+            helper([[0.0, 1.0]], [0.0, 1.0], p)
+        with pytest.raises(ValueError, match=rf"^{name} must be a single point \(1-d array\)$"):
+            helper([0.0, 1.0], [[0.0], [1.0]], p)
 
     def test_dimension_mismatch(self):
         p = KernelParams(1.0, 1.0, 0.1)

@@ -62,6 +62,14 @@ class TestMnlp:
             mnlp(pred, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("metric", [mnlp, srmse])
+@pytest.mark.parametrize("n_targets", [2, 4])
+def test_metrics_reject_a_length_mismatch(metric, n_targets):
+    with pytest.raises(ValueError, match="^predictive distribution and targets must have "
+                                         "equal length$"):
+        metric(_pred([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), np.arange(float(n_targets)))
+
+
 class TestPredictiveDistribution:
     @pytest.mark.parametrize("field", ["latent", "noisy"])
     @pytest.mark.parametrize("bad", [-1e-300, np.nan])
@@ -70,6 +78,12 @@ class TestPredictiveDistribution:
         variances[field] = [1.0, bad]
         with pytest.raises(ValueError, match="^predictive variances must be nonnegative$"):
             PredictiveDistribution([0.0, 0.0], variances["latent"], variances["noisy"])
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2)])
+    def test_unequal_lengths_rejected(self, lengths):
+        with pytest.raises(ValueError, match="^predictive moment vectors must have equal "
+                                             "length$"):
+            PredictiveDistribution(*(np.ones(n) for n in lengths))
 
     def test_zero_variances_accepted(self):
         pred = PredictiveDistribution([0.5], [0.0], [-0.0])
@@ -100,6 +114,10 @@ class TestSrmse:
     def test_constant_targets_rejected(self):
         with pytest.raises(ValueError):
             srmse(_pred([0.0, 0.0], [1.0, 1.0]), [2.0, 2.0])
+
+    def test_one_point_rejected(self):
+        with pytest.raises(ValueError, match="^srmse needs at least two test points$"):
+            srmse(_pred([0.0], [1.0]), [1.0])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)

@@ -121,6 +121,13 @@ class TestProposeRs:
         picked = propose_rs(model, x, subset_size=15, seed=9)
         assert any(np.allclose(picked, row) for row in x)
 
+    @pytest.mark.parametrize("subset_size", [0, -2])
+    def test_empty_subset_rejected(self, subset_size):
+        x, y = _toy_1d()
+        model = _toy_model(x, y, np.array([[0.2]]))
+        with pytest.raises(ValueError, match="^subset_size must be at least 1$"):
+            propose_rs(model, x, subset_size=subset_size, seed=0)
+
     def test_empty_pool_rejected(self):
         x, y = _toy_1d()
         model = _toy_model(x, y, np.array([[0.2]]))
