@@ -10,21 +10,24 @@ A fit holds one N x N array at a time: the squared distances become the
 kernel matrix in place, the noise goes on its diagonal, and
 :func:`~knotgp.common.chol_lower` factors its upper triangle in that same
 buffer, which the model keeps as its factor. The gradient
-of the log marginal likelihood recomputes the kernel matrix from the
-distances and turns a copy of the factor into the full inverse with one
-LAPACK ``potri``; the inverse's lower triangle is mirrored, and the weight
-matrix ``alpha alpha^T - K^{-1}`` formed, in that copy, in row blocks. So a
-gradient evaluation holds three: distances, kernel and that work buffer.
+of the log marginal likelihood turns the recomputed distances into the
+kernel matrix times the distances, and a copy of the factor into the lower
+triangle of the inverse with one LAPACK ``potri``. Its three directions are
+taken in closed form from those two arrays, ``alpha`` and the residuals,
+with no weight matrix ``alpha alpha^T - K^{-1}`` formed. So a gradient
+evaluation holds two N x N arrays, and a search evaluation three, since it
+keeps its distances.
 
 The hyperparameter search behind the BO surrogate and the FullGP roster
 entry runs BFGS by default (the surrogate asks for ADADELTA) and evaluates
 in a lean path: the inputs are validated and their squared distances formed
 once, and each evaluation is one kernel matrix from ``kernels._kernel``, a
 copy of it factored in place with the noise on its diagonal, two
-triangular solves and one ``potri`` in the factor's buffer, with no model
-object built. It shares :func:`_factorize` with :func:`fit_full`, and
-:func:`_log_density_and_grad` with :func:`log_marginal_likelihood`, so its
-values are those of the public pair to the bit.
+triangular solves, the kernel matrix times the distances in place and one
+``potri`` in the factor's buffer, with no model object built. It shares
+:func:`_factorize` with :func:`fit_full`, and :func:`_log_density_and_grad`
+with :func:`log_marginal_likelihood`, so its values are those of the public
+pair to the bit.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ def fit_hyperparameters(x, y, init_params: KernelParams,
     def objective(vec):
         params = init_params.with_log_vector(vec)
         kmat = _kernel(d2, params)
-        factor, alpha = _factorize(kmat.copy(), y, params)     # the gradient reads kmat
-        return _log_density_and_grad(factor, alpha, y, kmat, d2, params, True)
+        factor, alpha = _factorize(kmat.copy(), y, params)     # kmat becomes kd below
+        return _log_density_and_grad(factor, alpha, y, params, np.multiply(kmat, d2, out=kmat))
 
     result = maximize(objective, init_params.log_vector(), optimizer_config, method=method)
     return fit_full(x, y, init_params.with_log_vector(result.x)), result
@@ -119,65 +122,52 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
     """Log density of the targets under the fitted joint Gaussian.
 
     With ``with_grad=True`` also returns the gradient with respect to
-    (log s2, log ell, log tau2), recomputing the kernel matrix from the
-    training inputs and inverting a copy of ``model.chol``. The jitter is tied
+    (log s2, log ell, log tau2), recomputing the kernel matrix times the
+    squared distances in the distance buffer and inverting one
+    Fortran-ordered copy of the lower triangle of ``model.chol``, so only
+    that triangle is read and the model is left as it is. The jitter is tied
     to the signal variance (fixed ratio), so its contribution rides along with
     the log-s2 direction.
     """
     resid = model.train_targets - model.mean_constant
     if not with_grad:
-        return _log_density_and_grad(model.chol, model.alpha, resid, None, None, model.params,
-                                     False)
+        return _log_density_and_grad(model.chol, model.alpha, resid, model.params)
     d2 = squared_distances(model.train_inputs, model.train_inputs)
-    return _log_density_and_grad(model.chol.copy(order="K"), model.alpha, resid,
-                                 _kernel(d2, model.params), d2, model.params, True)
+    kd = np.multiply(_kernel(d2, model.params), d2, out=d2)
+    return _log_density_and_grad(np.triu(model.chol.T).T, model.alpha, resid, model.params, kd)
 
 
-SYM_BLOCK = 128
-"""Rows per block in which :func:`_log_density_and_grad` forms the weight
-matrix."""
+def _log_density_and_grad(chol, alpha, resid, params: KernelParams, kd=None):
+    """:func:`log_marginal_likelihood` from the parts of a fitted model.
 
-# the strict lower triangle of a diagonal block of the weight matrix, sliced
-# to the block's size
-_STRICT_LOWER = np.tri(SYM_BLOCK, SYM_BLOCK, -1, dtype=bool)
-_STRICT_LOWER.flags.writeable = False
+    Without ``kd`` returns the value alone and reads only the diagonal of
+    ``chol``. Passing ``kd``, the kernel matrix times the squared distances,
+    asks for the gradient too and takes ownership of ``chol``, which must be
+    Fortran-ordered with zeros above its diagonal, as
+    :func:`~knotgp.common.chol_lower` returns it: LAPACK ``potri``
+    overwrites its lower triangle with that of ``K^{-1}``.
 
-
-def _log_density_and_grad(chol, alpha, resid, kmat, d2, params: KernelParams,
-                          with_grad: bool):
-    """:func:`log_marginal_likelihood` from the parts of a fitted model; reads
-    only the lower triangle of ``chol``, and with ``with_grad`` takes
-    ownership of it: LAPACK ``potri`` overwrites a Fortran-ordered ``chol``
-    with the lower triangle of the inverse, and the weight matrix is formed
-    in that buffer."""
+    With ``W = alpha alpha^T - K^{-1}``, the gradient is ``0.5 tr(W dK)`` per
+    direction (Rasmussen & Williams 2006, eq. 5.9), taken without forming
+    ``W``: ``tr(W K) = r^T alpha - n`` is the sum of the signal (with the
+    jitter) and noise directions, the noise direction needs ``tr W`` only,
+    and the lengthscale's ``sum(K^{-1} * kd)`` is read off one triangle of
+    the inverse."""
     n = resid.size
-    value = float(-0.5 * (n * LOG_2PI + 2.0 * np.log(chol.diagonal()).sum()
-                          + resid @ alpha))
-    if not with_grad:
+    fit = resid @ alpha
+    value = float(-0.5 * (n * LOG_2PI + 2.0 * np.log(chol.diagonal()).sum() + fit))
+    if kd is None:
         return value
     inverse, info = dpotri(chol, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
-    # The C-ordered view of potri's Fortran-ordered result, whose upper
-    # triangle holds the inverse: its lower triangle is mirrored from the
-    # upper, and it becomes alpha alpha^T - K^{-1}, in C order so that the
-    # sums below run over the same memory order as over a new C array. This
-    # goes row block by row block: rows above a block are weights already,
-    # symmetric to the bit, so the block's left part copies them, and its
-    # diagonal block is mirrored within itself.
-    weight = inverse.T
-    for r0 in range(0, n, SYM_BLOCK):
-        r1 = r0 + SYM_BLOCK
-        weight[r0:r1, :r0] = weight[:r0, r0:r1].T
-        block = weight[r0:r1, r0:r1]
-        np.copyto(block, block.T, where=_STRICT_LOWER[:len(block), :len(block)])
-        rows = weight[r0:r1, r0:]
-        np.subtract(alpha[r0:r1, None] * alpha[r0:], rows, out=rows)
-    trace = float(weight.trace())
-    weight *= kmat
-    d_log_s2 = 0.5 * (weight.sum() + params.latent_jitter * trace)
-    d_log_ell = 0.5 * np.vdot(weight, d2) / params.lengthscale ** 2
-    d_log_tau2 = 0.5 * trace * params.noise_variance
+    # the C-ordered view of the Fortran-ordered result: K^{-1} on and above
+    # its diagonal, and the zeros of the factor's upper triangle below it
+    upper = inverse.T
+    d_log_tau2 = 0.5 * params.noise_variance * (alpha @ alpha - upper.trace())
+    d_log_s2 = 0.5 * (fit - n) - d_log_tau2
+    inverse_kd = 2.0 * np.vdot(upper, kd) - upper.diagonal() @ kd.diagonal()
+    d_log_ell = 0.5 * (alpha @ (kd @ alpha) - inverse_kd) / params.lengthscale ** 2
     return value, np.array([d_log_s2, d_log_ell, d_log_tau2])
 
 

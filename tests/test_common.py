@@ -17,7 +17,6 @@ import scipy.special
 from knotgp import Approximation, KernelParams, common, fit_full, fit_sparse, predict_full
 from knotgp.common import (NumericalError, PredictiveDistribution, _test_inputs, chol_lower,
                            tri_solve)
-from knotgp.full_gp import SYM_BLOCK
 from knotgp.kernels import cov_matrix
 
 
@@ -28,8 +27,8 @@ def _spd(rng, k):
     return spd
 
 
-# one row, the block size and its neighbours, and a partial third block
-BLOCK_SIZES = [1, 2, SYM_BLOCK - 1, SYM_BLOCK, SYM_BLOCK + 1, 2 * SYM_BLOCK + 3]
+# one row, 128 and its neighbours, and 259 rows
+BLOCK_SIZES = [1, 2, 127, 128, 129, 259]
 
 
 def _asymmetric_spd(rng, k):
@@ -65,7 +64,7 @@ class TestCholLower:
             assert np.shares_memory(factor, a)
 
     @pytest.mark.parametrize("overwrite", [False, True])
-    @pytest.mark.parametrize("k", [2, 29, 2 * SYM_BLOCK + 3])
+    @pytest.mark.parametrize("k", [2, 29, 259])
     def test_strict_lower_triangle_is_only_checked(self, k, overwrite):
         # finite changes below the diagonal leave the factor's bytes as they
         # are; a non-finite entry there still raises
@@ -82,14 +81,14 @@ class TestCholLower:
                 chol_lower(poisoned, _overwrite=overwrite)
 
     def test_overwrite_refuses_escalations(self):
-        a = _spd(np.random.default_rng(3), SYM_BLOCK + 1)
+        a = _spd(np.random.default_rng(3), 129)
         before = a.copy()
         with pytest.raises(ValueError, match="escalations must be 0"):
             chol_lower(a, escalations=1, _overwrite=True)
         assert a.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("overwrite", [False, True])
-    @pytest.mark.parametrize("k", [4, 2 * SYM_BLOCK + 3])
+    @pytest.mark.parametrize("k", [4, 259])
     @pytest.mark.parametrize("where", ["first row", "last row", "diagonal"])
     def test_non_finite_input_raises_in_either_mode(self, k, where, overwrite):
         a = _spd(np.random.default_rng(k), k)
@@ -117,7 +116,7 @@ class TestCholLower:
                                                ("rank deficient, blocked", None)])
     def test_ridge_escalation_sequence(self, monkeypatch, case, retries):
         if case.startswith("rank deficient"):
-            rows = 10 if case == "rank deficient" else 2 * SYM_BLOCK + 3
+            rows = 10 if case == "rank deficient" else 259
             x = np.random.default_rng(1).standard_normal((rows, 3))
             a = x @ x.T                                # PSD of rank 3
         else:
@@ -142,18 +141,20 @@ class TestCholLower:
                                    rtol=0.0, atol=1e-12 * np.max(np.abs(a)))
 
     def test_ridge_retry_reads_no_uninitialised_bytes(self, monkeypatch):
-        # np.empty's buffer is filled with a signalling NaN, which warns as
-        # an invalid value in any arithmetic that reads it
-        x = np.random.default_rng(7).standard_normal((2 * SYM_BLOCK + 3, 10))
+        # each failed attempt leaves its buffer filled with a signalling NaN,
+        # which warns as an invalid value in any arithmetic that reads it, so
+        # a retry must restore every byte from the input
+        x = np.random.default_rng(7).standard_normal((259, 10))
         a = x @ x.T                                    # PSD of rank 10
-        empty = np.empty
+        factorize = common.dpotrf
 
-        def poisoned(shape, *args, **kwargs):
-            out = empty(shape, *args, **kwargs)
-            out.view(np.uint64).fill(0x7FF0000000000001)
-            return out
+        def poisoning(matrix, **kwargs):
+            factor, info = factorize(matrix, **kwargs)
+            if info > 0:
+                matrix.view(np.uint64).fill(0x7FF0000000000001)
+            return factor, info
 
-        monkeypatch.setattr(np, "empty", poisoned)
+        monkeypatch.setattr(common, "dpotrf", poisoning)
         diagnostics = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
