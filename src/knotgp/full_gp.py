@@ -134,7 +134,10 @@ def log_marginal_likelihood(model: FullGPModel, with_grad: bool = False):
         return _log_density_and_grad(model.chol, model.alpha, resid, model.params)
     d2 = squared_distances(model.train_inputs, model.train_inputs)
     kd = np.multiply(_kernel(d2, model.params), d2, out=d2)
-    return _log_density_and_grad(np.triu(model.chol.T).T, model.alpha, resid, model.params, kd)
+    chol = np.array(model.chol, order="F")
+    for j in range(1, chol.shape[1]):
+        chol[:j, j] = 0.0               # a contiguous column: no N x N mask
+    return _log_density_and_grad(chol, model.alpha, resid, model.params, kd)
 
 
 def _log_density_and_grad(chol, alpha, resid, params: KernelParams, kd=None):

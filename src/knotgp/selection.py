@@ -129,8 +129,9 @@ def kmeans_init(x, n_clusters: int, seed) -> np.ndarray:
     return centers
 
 
-def _candidate_gains(model: SparseGPModel, pool: np.ndarray, indices) -> np.ndarray:
-    base = model.objective()
+def _candidate_gains(model: SparseGPModel, base: float, pool: np.ndarray,
+                     indices) -> np.ndarray:
+    """Each indexed pool row's gain over ``base``; ``-inf`` if scoring it raises."""
     gains = np.empty(len(indices))
     for out, idx in enumerate(indices):
         try:
@@ -192,7 +193,8 @@ def _propose(model: SparseGPModel, candidate_pool, budget: int, initial_design: 
     """The best of at most ``budget`` probed eligible pool rows: a sorted
     random ``initial_design`` of them, then expected-improvement picks. A row
     is eligible if it coincides with no knot, or if every row coincides with
-    one; ties go to the earliest probe."""
+    one; ties go to the earliest probe. Gains are over one evaluation of the
+    model's objective; the surrogate reads a ``-inf`` gain as the lowest finite one."""
     pool = _knot_array(as_input_matrix(candidate_pool, "candidate pool"), model.x)
     rng = np.random.default_rng(seed)
     eligible = np.flatnonzero(~_coincident(pool, model.knots.locations).any(axis=1))
@@ -201,44 +203,41 @@ def _propose(model: SparseGPModel, candidate_pool, budget: int, initial_design: 
         eligible = np.arange(pool.shape[0])
     budget = min(budget, eligible.size)
 
-    probed = list(np.sort(rng.choice(eligible, size=min(initial_design, budget),
-                                     replace=False)))
-    gains = list(_candidate_gains(model, pool, probed))
+    base = model.objective()
+    probed = np.sort(rng.choice(eligible, size=min(initial_design, budget), replace=False))
+    gains = _candidate_gains(model, base, pool, probed)
     unprobed = np.zeros(pool.shape[0], dtype=bool)
     unprobed[eligible] = True
     unprobed[probed] = False
 
     surrogate = None
-    while len(probed) < budget:
-        finite_only = [g for g in gains if np.isfinite(g)]
-        floor = min(finite_only) if finite_only else 0.0
-        finite = np.asarray([g if np.isfinite(g) else floor for g in gains])
+    while probed.size < budget:
+        finite = np.isfinite(gains)
+        targets = np.where(finite, gains, gains[finite].min() if finite.any() else 0.0)
         if surrogate is None:
             coords = (pool - pool.mean(axis=0)) / np.maximum(pool.std(axis=0), 1e-12)
-            gvar = max(float(np.var(finite)), 1e-10)
-            surrogate = _fit_surrogate(coords[probed], finite,
+            gvar = max(float(np.var(targets)), 1e-10)
+            surrogate = _fit_surrogate(coords[probed], targets,
                                        KernelParams(gvar, 1.0, max(1e-6 * gvar, 1e-12)))
         else:
-            surrogate = full_gp.fit_full(coords[probed], finite, surrogate.params)
+            surrogate = full_gp.fit_full(coords[probed], targets, surrogate.params)
         remaining = np.flatnonzero(unprobed)
         pred = full_gp.predict_full(surrogate, coords[remaining])
-        best = float(np.max(finite))
-        xi = 0.01 * float(np.std(finite))
+        best = float(np.max(targets))
+        xi = 0.01 * float(np.std(targets))
         sd = np.sqrt(pred.latent_variance)
         shift = pred.latent_mean - best - xi
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(sd > 0.0, shift / sd, 0.0)
         # the standard normal density, written as scipy.stats.norm.pdf evaluates it
         pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
-        ei = np.where(sd > 0.0, shift * ndtr(z) + sd * pdf,
-                      np.maximum(shift, 0.0))
+        ei = np.where(sd > 0.0, shift * ndtr(z) + sd * pdf, np.maximum(shift, 0.0))
         pick = remaining[int(np.argmax(ei))]      # argmax takes the lowest index on ties
-        probed.append(int(pick))
+        probed = np.append(probed, pick)
         unprobed[pick] = False
-        gains.extend(_candidate_gains(model, pool, [pick]))
+        gains = np.append(gains, _candidate_gains(model, base, pool, [pick]))
 
-    best_idx = probed[int(np.argmax(gains))]
-    return pool[best_idx].copy()
+    return pool[probed[np.argmax(gains)]].copy()
 
 
 def _optimize_params_and_knot(start: SparseGPModel, optimizer_config: OptimizerConfig,
@@ -262,40 +261,42 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
     Each round proposes one knot from the training inputs, accepts it
     unconditionally, and re-optimizes (log s2, log ell, log tau2) plus the
     new knot's coordinates with earlier knots frozen. The loop stops at
-    ``max_knots`` or when a round's improvement falls below
-    ``improvement_tol * (|objective| + 1)``. The trace holds one step for the
-    initial fit and one per round, each with its inner search's ``n_steps``
-    and ``stop_reason``. Each step is logged at INFO, and an initial fit that
-    stops at ``max_steps`` with a WARNING.
+    ``max_knots`` or when a round's improvement on the previous best-seen
+    objective falls below ``improvement_tol * (|objective| + 1)``. Each
+    search, the initial fit's and each round's, is timed and traced as one
+    step with its ``n_steps`` and ``stop_reason``, and logged at INFO; an
+    initial fit that stops at ``max_steps`` also logs a WARNING.
     """
     x, y = _training_data(x, y)
     approx = _OBJECTIVE_APPROX[config.objective]
-    if optimizer_config is None:
-        optimizer_config = OptimizerConfig()
+    optimizer_config = optimizer_config or OptimizerConfig()
     master = np.random.SeedSequence(config.rng_seed)
     kmeans_seed, *round_seeds = master.spawn(1 + config.max_knots - config.initial_knot_count)
     trace = SelectionTrace()
 
-    def record(res, proposal_seconds, optimize_seconds, location):
-        step = SelectionStep(knots.shape[0], float(res.trace[0]), res.fun, proposal_seconds,
-                             optimize_seconds, location, res.n_steps, res.stop_reason)
+    def search(knots, params, proposal_seconds=0.0, location=None):
+        """One traced search from ``knots``, freeing the last if ``location`` is given."""
+        t0 = time.perf_counter()
+        model, res = _optimize_params_and_knot(
+            SparseGPModel(approx, x, y, params, knots), optimizer_config,
+            active_knot_index=None if location is None else len(knots) - 1)
+        step = SelectionStep(model.n_knots, float(res.trace[0]), res.fun, proposal_seconds,
+                             time.perf_counter() - t0, location, res.n_steps, res.stop_reason)
         trace.steps.append(step)
         logger.info("OAT %d knots: objective %.6f after %d steps (%s)", step.knot_count,
                     step.objective_after, step.n_steps, step.stop_reason)
+        return model, res
 
-    knots = kmeans_init(x, config.initial_knot_count, kmeans_seed)
-    t0 = time.perf_counter()
-    model, res = _optimize_params_and_knot(SparseGPModel(approx, x, y, init_params, knots),
-                                           optimizer_config)
-    record(res, 0.0, time.perf_counter() - t0, None)
+    model, res = search(kmeans_init(x, config.initial_knot_count, kmeans_seed), init_params)
     if res.stop_reason == "max_steps":
         logger.warning("OAT initial fit stopped at max_steps (%d steps)", res.n_steps)
     if res.stop_reason.startswith("non_finite"):
         trace.stopped_because = f"initial optimization: {res.stop_reason}"
         return model, trace
 
+    trace.stopped_because = "reached max_knots"
     for round_seed in round_seeds:
-        previous = model.objective()
+        previous = res.fun
         tp = time.perf_counter()
         try:
             if config.proposal == "bo":
@@ -306,24 +307,15 @@ def oat_select(x, y, init_params: KernelParams, config: OATConfig,
         except NumericalError as err:
             trace.stopped_because = f"proposal failed: {err}"
             break
-        proposal_seconds = time.perf_counter() - tp
-
-        knots = np.vstack([model.knots.locations, location])
-        to = time.perf_counter()
         try:
-            model, res = _optimize_params_and_knot(
-                SparseGPModel(approx, x, y, model.params, knots), optimizer_config,
-                active_knot_index=len(knots) - 1)
+            model, res = search(np.vstack([model.knots.locations, location]), model.params,
+                                time.perf_counter() - tp, tuple(location))
         except (NumericalError, ValueError) as err:
             trace.stopped_because = f"inner optimization failed: {err}"
             break
-        record(res, proposal_seconds, time.perf_counter() - to, tuple(location))
-        improvement = res.fun - previous
-        if improvement < config.improvement_tol * (abs(previous) + 1.0):
+        if res.fun - previous < config.improvement_tol * (abs(previous) + 1.0):
             trace.stopped_because = "improvement below tolerance"
-            return model, trace
-    if not trace.stopped_because:
-        trace.stopped_because = "reached max_knots"
+            break
     return model, trace
 
 

@@ -230,6 +230,32 @@ class TestProposeBo:
         assert [n for n, _ in fits] == list(range(6, 15))
         assert all(params == fitted for _, params in fits)
 
+    @pytest.mark.parametrize("approx, proposal, calls", [
+        (Approximation.FIC, "bo", 1),
+        (Approximation.DTC, "bo", 31),     # 30 inside the rank-one gains
+        (Approximation.FIC, "rs", 1),
+    ], ids=["fic-bo", "dtc-bo", "fic-rs"])
+    def test_one_base_objective_per_proposal(self, monkeypatch, approx, proposal, calls):
+        x, y = _toy_1d(n=60)
+        model = _toy_model(x, y, np.array([[0.2], [0.8]]), approx)
+
+        def propose():
+            if proposal == "bo":
+                return propose_bo(model, x, 30, 10, 5)
+            return propose_rs(model, x, 30, 5)
+
+        expected = propose()
+        own = []
+        original = SparseGPModel.objective
+
+        def spy(self):
+            own.append(self is model)
+            return original(self)
+
+        monkeypatch.setattr(SparseGPModel, "objective", spy)
+        np.testing.assert_array_equal(propose(), expected)
+        assert sum(own) == calls
+
     def test_deterministic(self):
         x, y = _toy_1d(n=40)
         model = _toy_model(x, y, np.array([[0.3], [0.7]]))
@@ -724,7 +750,7 @@ def test_candidate_that_raises_gains_minus_inf(monkeypatch):
         return original(self, location)
 
     monkeypatch.setattr(SparseGPModel, "objective_with_added_knot", fails_on_best)
-    gains = selection._candidate_gains(model, x, np.arange(40))
+    gains = selection._candidate_gains(model, base, x, np.arange(40))
     assert gains[best] == -np.inf
     np.testing.assert_array_equal(np.delete(gains, best), np.delete(exact, best))
     exact[best] = -np.inf
